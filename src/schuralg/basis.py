@@ -188,7 +188,7 @@ def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
 def _coerce_scalar(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"scalar must be int or Fraction, got {type(value).__name__}")
 

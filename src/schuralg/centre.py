@@ -126,11 +126,8 @@ def centre_dimension(n: int, d: int) -> int:
     n < d, so the rank is computed, not assumed.
     """
     B = enumerate_basis(n, d)
-    index_of = {D: k for k, D in enumerate(B)}
     rows = []
     for shape in partitions_of(d):
-        vec = [Fraction(0)] * len(B)
-        for D, c in centre_basis_element(shape, n, d).element.terms.items():
-            vec[index_of[D]] = Fraction(c)
-        rows.append(vec)
+        terms = centre_basis_element(shape, n, d).element.terms
+        rows.append([terms.get(D, 0) for D in B])
     return rational_rank(rows)

@@ -20,13 +20,7 @@ import os
 import sys
 from math import factorial
 
-from .basis import (
-    SchurElement,
-    basis_count,
-    check_matrix,
-    enumerate_basis,
-    identity_element,
-)
+from .basis import basis_count, basis_element, check_matrix, enumerate_basis
 from .centre import centre_basis_element, centre_dimension, primitive_idempotent
 from .formats import (
     canonical_json,
@@ -47,7 +41,13 @@ from .multiplication import (
 )
 from .oracle import DEFAULT_MAX_TENSOR_DIM, TensorDimensionError
 from .partitions import class_size, character, partitions_of
-from .verification import FAIL, run_suite
+from .verification import (
+    FAIL,
+    first_non_idempotent,
+    first_non_orthogonal_pair,
+    run_suite,
+    sums_to_identity,
+)
 
 MAX_N = 6
 MAX_D = 8
@@ -76,15 +76,18 @@ def _guard_enumeration(n: int, d: int) -> None:
 
 
 def _resolve_max_dim(args: argparse.Namespace) -> int:
-    if getattr(args, "max_tensor_dim", None) is not None:
-        return args.max_tensor_dim
-    env = os.environ.get("SCHUR_MAX_TENSOR_DIM")
-    if env is not None:
+    limit, source = args.max_tensor_dim, "--max-tensor-dim"
+    if limit is None:
+        env = os.environ.get("SCHUR_MAX_TENSOR_DIM")
+        if env is None:
+            return DEFAULT_MAX_TENSOR_DIM
         try:
-            return int(env)
+            limit, source = int(env), "SCHUR_MAX_TENSOR_DIM"
         except ValueError:
             raise ValueError(f"SCHUR_MAX_TENSOR_DIM is not an integer: {env!r}")
-    return DEFAULT_MAX_TENSOR_DIM
+    if limit <= 0:
+        raise ValueError(f"{source} must be positive, got {limit}")
+    return limit
 
 
 def _ambient_from_matrices(args: argparse.Namespace, *matrices) -> tuple[int, int]:
@@ -143,9 +146,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     right = parse_matrix(args.right)
     n, d = _ambient_from_matrices(args, left, right)
     _guard_ambient(n, d)
-    product = multiply(
-        SchurElement(n, d, {left: 1}), SchurElement(n, d, {right: 1})
-    )
+    product = multiply(basis_element(left), basis_element(right))
     classes = euler_classes(left, right)
     if args.output == "dot":
         for idx, cls in enumerate(classes):
@@ -213,35 +214,25 @@ def _cmd_centre(args: argparse.Namespace) -> int:
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     _guard_ambient(args.n, args.d)
     _guard_enumeration(args.n, args.d)
-    shapes = _selected_shapes(args)
-    eps = {s: primitive_idempotent(s, args.n, args.d).element for s in shapes}
-    idempotent_ok = all(multiply(e, e) == e for e in eps.values())
-    checks = {"idempotent": idempotent_ok}
-    lines = []
-    items = []
-    for s in shapes:
-        lines.append(f"e{format_partition(s)} = {format_element(eps[s])}")
-        items.append({"partition": list(s), "element": element_to_json(eps[s])})
-    lines.append(f"idempotent: {idempotent_ok}")
+    eps = {
+        s: primitive_idempotent(s, args.n, args.d).element for s in _selected_shapes(args)
+    }
+    lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()]
+    checks = {"idempotent": first_non_idempotent(eps) is None}
+    lines.append(f"idempotent: {checks['idempotent']}")
     if args.shape is None:
         # pairwise laws only make sense over the complete family
-        checks["orthogonal"] = all(
-            multiply(eps[s], eps[t]).is_zero()
-            for s in shapes
-            for t in shapes
-            if s != t
-        )
-        total = SchurElement.zero(args.n, args.d)
-        for s in shapes:
-            total = total + eps[s]
-        checks["resolution_of_identity"] = total == identity_element(args.n, args.d)
+        checks["orthogonal"] = first_non_orthogonal_pair(eps) is None
+        checks["resolution_of_identity"] = sums_to_identity(eps, args.n, args.d)
         lines.append(f"orthogonal: {checks['orthogonal']}")
         lines.append(f"sums to identity: {checks['resolution_of_identity']}")
     payload = {
         "command": "idempotents",
         "n": args.n,
         "d": args.d,
-        "idempotents": items,
+        "idempotents": [
+            {"partition": list(s), "element": element_to_json(e)} for s, e in eps.items()
+        ],
         "checks": checks,
     }
     _emit(args, lines, payload)
@@ -305,10 +296,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     n, d = _ambient_from_matrices(args, D)
     _guard_ambient(n, d)
     dot = matrix_to_dot(D)
-    if args.output == "json":
-        print(canonical_json({"command": "graph", "n": n, "d": d, "dot": dot}))
-    else:
-        print(dot)
+    _emit(args, [dot], {"command": "graph", "n": n, "d": d, "dot": dot})
     return EXIT_OK
 
 

@@ -87,6 +87,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _bipartite_dot(name: str, n: int, edges: list[str]) -> str:
+    """A DOT graph with sources s1..sn ranked above sinks d1..dn, then the
+    given edge lines."""
+    ranks = [
+        f"  {{ rank={rank}; "
+        + " ".join(f'{prefix}{v} [label="{v}" shape=circle];' for v in range(1, n + 1))
+        + " }"
+        for rank, prefix in (("source", "s"), ("sink", "d"))
+    ]
+    return "\n".join([f"graph {name} {{", "  rankdir=TB;", *ranks, *edges, "}"])
+
+
 def matrix_to_dot(entries: Matrix, name: str = "bipartite") -> str:
     """DOT rendering of the bipartite multigraph of an index matrix.
 
@@ -95,22 +107,13 @@ def matrix_to_dot(entries: Matrix, name: str = "bipartite") -> str:
     edges are sorted so output is reproducible.
     """
     n, _ = check_matrix(entries)
-    lines = [f"graph {name} {{", "  rankdir=TB;"]
-    lines.append(
-        "  { rank=source; "
-        + " ".join(f's{j} [label="{j}" shape=circle];' for j in range(1, n + 1))
-        + " }"
-    )
-    lines.append(
-        "  { rank=sink; "
-        + " ".join(f'd{i} [label="{i}" shape=circle];' for i in range(1, n + 1))
-        + " }"
-    )
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            lines.extend([f"  s{j} -- d{i};"] * entries[i - 1][j - 1])
-    lines.append("}")
-    return "\n".join(lines)
+    edges = [
+        f"  s{j} -- d{i};"
+        for j in range(1, n + 1)
+        for i in range(1, n + 1)
+        for _ in range(entries[i - 1][j - 1])
+    ]
+    return _bipartite_dot(name, n, edges)
 
 
 def euler_class_to_dot(cls: EulerClass, name: str = "matching") -> str:
@@ -120,22 +123,11 @@ def euler_class_to_dot(cls: EulerClass, name: str = "matching") -> str:
     labeled with the middle vertex and the path count.
     """
     n = len(cls.tensor)
-    lines = [f"graph {name} {{", "  rankdir=TB;"]
-    lines.append(
-        "  { rank=source; "
-        + " ".join(f's{j} [label="{j}" shape=circle];' for j in range(1, n + 1))
-        + " }"
-    )
-    lines.append(
-        "  { rank=sink; "
-        + " ".join(f'd{k} [label="{k}" shape=circle];' for k in range(1, n + 1))
-        + " }"
-    )
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            for mid in range(1, n + 1):
-                count = cls.tensor[k - 1][mid - 1][j - 1]
-                if count:
-                    lines.append(f'  s{j} -- d{k} [label="via {mid} x{count}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    edges = [
+        f'  s{j} -- d{k} [label="via {mid} x{count}"];'
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+        for mid in range(1, n + 1)
+        if (count := cls.tensor[k - 1][mid - 1][j - 1])
+    ]
+    return _bipartite_dot(name, n, edges)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rational_rank(rows: list[list[Fraction]]) -> int:
+def rational_rank(rows: list[list[Fraction | int]]) -> int:
     """Rank of a matrix given as a list of rows, by Gaussian elimination."""
     if not rows:
         return 0

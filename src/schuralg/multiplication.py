@@ -51,8 +51,6 @@ class EulerClass:
     graph matched to edges of type (dest k, src i) in the right graph.
     """
 
-    left: Matrix
-    right: Matrix
     tensor: tuple[tuple[tuple[int, ...], ...], ...]
 
 
@@ -130,7 +128,7 @@ def euler_classes(left: Matrix, right: Matrix) -> tuple[EulerClass, ...]:
                 tuple(tuple(chosen[mid][k][j] for j in range(n)) for mid in range(n))
                 for k in range(n)
             )
-            out.append(EulerClass(left=left, right=right, tensor=tensor))
+            out.append(EulerClass(tensor=tensor))
             return
         for s in per_middle[i]:
             chosen.append(s)
@@ -177,8 +175,7 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
 
 def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Bilinear product; the left factor acts first on words."""
-    if (x.n, x.d) != (y.n, y.d):
-        raise ValueError(f"ambient mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
+    x._check_ambient(y)
     acc: dict[Matrix, Fraction] = {}
     for Dx, cx in x.terms.items():
         for Dy, cy in y.terms.items():

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -61,6 +62,15 @@ def _word_positions(n: int, d: int) -> dict[MultiIndex, int]:
     return {w: k for k, w in enumerate(all_words(n, d))}
 
 
+def _operator_cells(D: Matrix, n: int, d: int) -> Iterator[tuple[int, int]]:
+    """Positions (output word, input word) of the 1 entries in the 0/1
+    operator of a basis index."""
+    pos = _word_positions(n, d)
+    for col, word in enumerate(all_words(n, d)):
+        for image in apply_basis(D, word):
+            yield pos[image], col
+
+
 def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
     """The n^d x n^d matrix of the element, exact rationals, dtype=object.
 
@@ -68,12 +78,10 @@ def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
     order.
     """
     dim = check_tensor_dimension(x.n, x.d, max_dim)
-    pos = _word_positions(x.n, x.d)
     M = np.zeros((dim, dim), dtype=object)
     for D, coeff in x.terms.items():
-        for cj, word in enumerate(all_words(x.n, x.d)):
-            for image in apply_basis(D, word):
-                M[pos[image], cj] += coeff
+        for row, col in _operator_cells(D, x.n, x.d):
+            M[row, col] += coeff
     return M
 
 
@@ -98,9 +106,7 @@ def multiply_via_oracle(
     is dense_operator(y) @ dense_operator(x).  Exact; agrees with the
     combinatorial ``multiply``.
     """
-    if (x.n, x.d) != (y.n, y.d):
-        raise ValueError(f"ambient mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
-    check_tensor_dimension(x.n, x.d, max_dim)
+    x._check_ambient(y)
     composite = dense_operator(y, max_dim) @ dense_operator(x, max_dim)
     return element_from_operator(composite, x.n, x.d)
 
@@ -108,14 +114,11 @@ def multiply_via_oracle(
 @lru_cache(maxsize=None)
 def _basis_operator_stack(n: int, d: int) -> np.ndarray:
     """Stacked 0/1 operator matrices of every basis index, int64."""
-    words = all_words(n, d)
-    pos = _word_positions(n, d)
     B = enumerate_basis(n, d)
-    ops = np.zeros((len(B), len(words), len(words)), dtype=np.int64)
+    ops = np.zeros((len(B), n**d, n**d), dtype=np.int64)
     for bi, D in enumerate(B):
-        for cj, word in enumerate(words):
-            for image in apply_basis(D, word):
-                ops[bi, pos[image], cj] = 1
+        for row, col in _operator_cells(D, n, d):
+            ops[bi, row, col] = 1
     return ops
 
 

@@ -7,7 +7,6 @@ the same functions at pinned sizes.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb, factorial
@@ -29,8 +28,9 @@ from .centre import (
     primitive_idempotent,
 )
 from .multiplication import _basis_product, multiply, structure_constant
-from .oracle import TensorDimensionError, find_product_mismatch
+from .oracle import TensorDimensionError, all_words, find_product_mismatch
 from .partitions import (
+    Partition,
     character,
     class_size,
     inverse_permutation,
@@ -143,7 +143,7 @@ def check_centrality(n: int, d: int) -> CheckResult:
 def check_row_sum_law(n: int, d: int) -> CheckResult:
     """Summing class coefficients over all output words of a fixed input word
     recovers the class size: each class member contributes exactly one word."""
-    words = list(itertools.product(range(1, n + 1), repeat=d))
+    words = all_words(n, d)
     for shape in partitions_of(d):
         expected = class_size(shape)
         for bottom in words:
@@ -179,24 +179,39 @@ def check_action_convention(n: int, d: int) -> CheckResult:
     return _result("action-convention", True)
 
 
+def first_non_idempotent(eps: dict[Partition, SchurElement]) -> Partition | None:
+    """The first shape whose element e has e * e != e, or None."""
+    return next((s for s, e in eps.items() if multiply(e, e) != e), None)
+
+
+def first_non_orthogonal_pair(
+    eps: dict[Partition, SchurElement],
+) -> tuple[Partition, Partition] | None:
+    """The first ordered pair of distinct shapes whose elements have a
+    nonzero product, or None."""
+    return next(
+        ((s, t) for s in eps for t in eps
+         if s != t and not multiply(eps[s], eps[t]).is_zero()),
+        None,
+    )
+
+
+def sums_to_identity(eps: dict[Partition, SchurElement], n: int, d: int) -> bool:
+    """True iff the elements sum to the identity of S(n,d)."""
+    return sum(eps.values(), SchurElement.zero(n, d)) == identity_element(n, d)
+
+
 def check_idempotents(n: int, d: int) -> CheckResult:
     shapes = partitions_of(d)
     eps = {s: primitive_idempotent(s, n, d).element for s in shapes}
     for s in shapes:
         if len(s) > n and not eps[s].is_zero():
             return _result("idempotents", False, f"{s} has >{n} parts but is nonzero")
-    for s in shapes:
-        for t in shapes:
-            product = multiply(eps[s], eps[t])
-            if s == t and product != eps[s]:
-                return _result("idempotents", False, f"{s} not idempotent")
-            if s != t and not product.is_zero():
-                return _result("idempotents", False, f"{s},{t} not orthogonal")
-    total = SchurElement.zero(n, d)
-    for s in shapes:
-        if len(s) <= n:
-            total = total + eps[s]
-    if total != identity_element(n, d):
+    if (s := first_non_idempotent(eps)) is not None:
+        return _result("idempotents", False, f"{s} not idempotent")
+    if (pair := first_non_orthogonal_pair(eps)) is not None:
+        return _result("idempotents", False, f"{pair[0]},{pair[1]} not orthogonal")
+    if not sums_to_identity(eps, n, d):
         return _result("idempotents", False, "resolution of identity failed")
     return _result("idempotents", True, f"{sum(1 for s in shapes if len(s) <= n)} idempotents")
 

@@ -1,25 +1,11 @@
 """Acceptance suite: one test per criterion, exact tolerances, timed where
 the criterion pins a runtime.  Each test prints a single pass/fail line."""
 
-import itertools
-import random
 import time
-from fractions import Fraction
 from math import comb, factorial
 
-from schuralg.basis import (
-    SchurElement,
-    basis_element,
-    enumerate_basis,
-    identity_element,
-    matrix_from_pair,
-)
-from schuralg.centre import (
-    centre_basis_element,
-    class_coefficient,
-    is_central,
-    primitive_idempotent,
-)
+from schuralg.basis import SchurElement, basis_element, enumerate_basis
+from schuralg.centre import centre_basis_element
 from schuralg.multiplication import euler_classes, multiply, structure_constant
 from schuralg.oracle import find_product_mismatch
 from schuralg.partitions import (
@@ -27,6 +13,13 @@ from schuralg.partitions import (
     class_size,
     partitions_of,
     tableaux_count,
+)
+from schuralg.verification import (
+    PASS,
+    check_associativity,
+    check_centrality,
+    check_idempotents,
+    check_row_sum_law,
 )
 
 
@@ -124,45 +117,18 @@ def test_criterion_5_dimension_law():
 
 def test_criterion_6_centrality_and_row_sums():
     sizes = [(2, 3), (2, 4), (3, 3)]
-    ok = True
-    for (n, d) in sizes:
-        for shape in partitions_of(d):
-            if not is_central(centre_basis_element(shape, n, d).element):
-                ok = False
-        words = list(itertools.product(range(1, n + 1), repeat=d))
-        for shape in partitions_of(d):
-            expected = class_size(shape)
-            for bottom in words:
-                total = sum(
-                    class_coefficient(shape, matrix_from_pair(top, bottom, n))
-                    for top in words
-                )
-                if total != expected:
-                    ok = False
+    ok = all(
+        check(n, d).status == PASS
+        for (n, d) in sizes
+        for check in (check_centrality, check_row_sum_law)
+    )
     report(6, ok, f"class sums central and row-sum law exact at {sizes}")
 
 
 def test_criterion_7_idempotent_suite():
     sizes = [(2, 4), (3, 3)]
     start = time.perf_counter()
-    ok = True
-    for (n, d) in sizes:
-        shapes = partitions_of(d)
-        eps = {s: primitive_idempotent(s, n, d).element for s in shapes}
-        for s in shapes:
-            if len(s) > n and not eps[s].is_zero():
-                ok = False
-            if multiply(eps[s], eps[s]) != eps[s]:
-                ok = False
-            for t in shapes:
-                if s != t and not multiply(eps[s], eps[t]).is_zero():
-                    ok = False
-        total = SchurElement.zero(n, d)
-        for s in shapes:
-            if len(s) <= n:
-                total = total + eps[s]
-        if total != identity_element(n, d):
-            ok = False
+    ok = all(check_idempotents(n, d).status == PASS for (n, d) in sizes)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     report(7, ok, f"idempotent laws exact at {sizes}, {elapsed:.1f}s")
@@ -211,12 +177,8 @@ def test_criterion_8_character_suite():
 
 
 def test_criterion_9_associativity():
-    ok = True
-    for (n, d) in [(2, 4), (3, 3)]:
-        rng = random.Random(20_240 + n + d)
-        B = enumerate_basis(n, d)
-        for _ in range(200):
-            x, y, z = (basis_element(rng.choice(B)) for _ in range(3))
-            if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
-                ok = False
+    ok = all(
+        check_associativity(n, d, count=200, seed=20_240 + n + d).status == PASS
+        for (n, d) in [(2, 4), (3, 3)]
+    )
     report(9, ok, "200 random basis triples at (2,4) and (3,3), exact")

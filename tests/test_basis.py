@@ -229,6 +229,18 @@ def test_element_rejects_float():
         SchurElement(2, 2, {((2, 0), (0, 0)): 0.5})
 
 
+def test_element_rejects_bool_scalars():
+    x = basis_element(((2, 0), (0, 0)))
+    for refused in (
+        lambda: x.scale(True),
+        lambda: x * True,
+        lambda: False * x,
+        lambda: SchurElement(2, 2, {((2, 0), (0, 0)): True}),
+    ):
+        with pytest.raises(TypeError):
+            refused()
+
+
 # --------------------------------------------------------------- identity
 
 def test_identity_element_support_two_four():

@@ -28,7 +28,12 @@ from schuralg.partitions import (
     permute_positions,
     tableaux_count,
 )
-from schuralg.verification import check_action_convention
+from schuralg.verification import (
+    check_action_convention,
+    first_non_idempotent,
+    first_non_orthogonal_pair,
+    sums_to_identity,
+)
 
 
 def _m(a, b, c, d):
@@ -184,6 +189,17 @@ def test_idempotents_orthogonal_two_four():
         for t in shapes:
             product = multiply(eps[s], eps[t])
             assert product == (eps[s] if s == t else SchurElement.zero(2, 4))
+
+
+def test_idempotent_laws_report_the_first_violation():
+    eps = {s: primitive_idempotent(s, 2, 3).element for s in partitions_of(3)}
+    assert first_non_idempotent(eps) is None
+    assert first_non_orthogonal_pair(eps) is None
+    assert sums_to_identity(eps, 2, 3)
+    assert first_non_idempotent({**eps, (2, 1): eps[(2, 1)].scale(2)}) == (2, 1)
+    overlap = {**eps, (1, 1, 1): eps[(3,)]}
+    assert first_non_orthogonal_pair(overlap) == ((3,), (1, 1, 1))
+    assert not sums_to_identity({(3,): eps[(3,)]}, 2, 3)
 
 
 def test_class_sums_reconstructed_from_idempotents():

@@ -1,15 +1,42 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from schuralg.cli import main
 from schuralg.formats import canonical_json
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKED_LEFT = "2,0,0;1,0,2;0,0,0"
+WORKED_RIGHT = "1,0,0;1,1,0;0,2,0"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("idempotents_n2_d3.txt", ("idempotents", "--n", "2", "--d", "3")),
+        ("idempotents_n2_d3.json",
+         ("idempotents", "--n", "2", "--d", "3", "--output", "json")),
+        ("idempotents_n2_d3_shape_2_1.txt",
+         ("idempotents", "--n", "2", "--d", "3", "--shape", "2,1")),
+        ("idempotents_n2_d3_shape_2_1.json",
+         ("idempotents", "--n", "2", "--d", "3", "--shape", "2,1", "--output", "json")),
+        ("graph_worked_left.dot", ("graph", WORKED_LEFT)),
+        ("multiply_worked_pair.dot",
+         ("multiply", WORKED_LEFT, WORKED_RIGHT, "--output", "dot")),
+    ],
+)
+def test_output_matches_golden(capsys, golden, argv):
+    """Stdout is byte-identical to the recorded output of the same command."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_dim_text(capsys):
@@ -165,6 +192,25 @@ def test_verify_env_guard(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--d", "3")
     assert code == 0
     assert "SKIP  oracle-equivalence" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_rejects_nonpositive_guard_flag(capsys, value):
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "2", "--d", "3", "--max-tensor-dim", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_rejects_nonpositive_guard_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("SCHUR_MAX_TENSOR_DIM", value)
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
 
 
 def test_graph_renders_dot(capsys):

@@ -183,3 +183,30 @@ def test_element_operator_overloads():
     x = basis_element(((2, 0), (0, 0)))
     assert x * x == multiply(x, x)
     assert (2 * x) * x == multiply(x, x).scale(2)
+
+
+def _unweighted_product(x: dict, y: dict) -> dict:
+    """Count every matching class once, ignoring class_multiplicity."""
+    acc: dict = {}
+    for Dx, cx in x.items():
+        for Dy, cy in y.items():
+            for cls in euler_classes(Dx, Dy):
+                P = product_graph(cls)
+                acc[P] = acc.get(P, 0) + cx * cy
+    return {P: c for P, c in acc.items() if c}
+
+
+def test_unweighted_rule_gives_stated_expansion_but_is_not_associative():
+    # Acceptance criterion 1 states the (1,1) expansion of the worked pair.
+    # Only the unweighted rule produces it, and that rule is no algebra
+    # product: it breaks associativity on 96 of the 8000 basis triples at (2,3).
+    assert _unweighted_product({LEFT: 1}, {RIGHT: 1}) == {COMPOSITE_A: 1, COMPOSITE_B: 1}
+    B = enumerate_basis(2, 3)
+    broken = sum(
+        _unweighted_product(_unweighted_product({x: 1}, {y: 1}), {z: 1})
+        != _unweighted_product({x: 1}, _unweighted_product({y: 1}, {z: 1}))
+        for x in B
+        for y in B
+        for z in B
+    )
+    assert (len(B) ** 3, broken) == (8000, 96)
