@@ -17,6 +17,7 @@ basis indices, held in canonical sparse form (no zero coefficients).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -132,23 +133,15 @@ def canonical_pair(entries: Matrix) -> GeneralizedPermutation:
 
 
 def _multiset_arrangements(letters: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct orderings of a multiset of letters."""
-    counts = sorted(set(letters))
-    remaining = {v: letters.count(v) for v in counts}
-    slot = [0] * len(letters)
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(letters):
-            yield tuple(slot)
-            return
-        for v in counts:
-            if remaining[v]:
-                remaining[v] -= 1
-                slot[pos] = v
-                yield from rec(pos + 1)
-                remaining[v] += 1
-
-    yield from rec(0)
+    """Distinct orderings of a multiset of letters, in lexicographic order."""
+    if not letters:
+        yield ()
+        return
+    for v in sorted(set(letters)):
+        rest = list(letters)
+        rest.remove(v)
+        for tail in _multiset_arrangements(rest):
+            yield (v, *tail)
 
 
 def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
@@ -170,18 +163,12 @@ def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
         [a + 1 for a in range(n) for _ in range(entries[a][b])] for b in range(n)
     ]
     out: dict[MultiIndex, int] = {}
-    current = [0] * d
-
-    def rec(b: int) -> None:
-        if b == n:
-            out[tuple(current)] = 1
-            return
-        for arrangement in _multiset_arrangements(column_letters[b]):
-            for pos, letter in zip(positions[b], arrangement):
-                current[pos] = letter
-            rec(b + 1)
-
-    rec(0)
+    image = [0] * d
+    for arrangements in itertools.product(*map(_multiset_arrangements, column_letters)):
+        for cells, arrangement in zip(positions, arrangements):
+            for pos, letter in zip(cells, arrangement):
+                image[pos] = letter
+        out[tuple(image)] = 1
     return out
 
 

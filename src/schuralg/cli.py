@@ -2,15 +2,16 @@
 
 Commands: dim, basis, multiply, centre, idempotents, character-table,
 verify, graph.  Output formats: text (default), json (canonical, rationals
-as "p/q" strings), dot (graph renderings).
+as "p/q" strings), dot (graph renderings, multiply and graph only).  Each
+command accepts only the options it reads.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
 
 Resource guards (defaults): n <= 6, d <= 8; word space n^d <= 10_000 for
-oracle-backed work (override with --max-tensor-dim or the environment
-variable SCHUR_MAX_TENSOR_DIM); basis enumeration capped at 200_000
-matrices.
+verify's oracle-backed checks (override with verify --max-tensor-dim or
+the environment variable SCHUR_MAX_TENSOR_DIM); basis enumeration capped
+at 200_000 matrices.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ EXIT_RESOURCE = 3
 
 
 def _guard_ambient(n: int, d: int) -> None:
-    if not (1 <= n <= MAX_N) or not (0 <= d <= MAX_D):
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    if n > MAX_N or d > MAX_D:
         raise TensorDimensionError(
             f"(n, d) = ({n}, {d}) outside guards n <= {MAX_N}, d <= {MAX_D}"
         )
@@ -241,7 +244,9 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
 
 def _cmd_character_table(args: argparse.Namespace) -> int:
     d = args.d
-    if not 0 <= d <= MAX_D:
+    if d < 0:
+        raise ValueError(f"need d >= 0, got {d}")
+    if d > MAX_D:
         raise TensorDimensionError(f"d = {d} outside guard d <= {MAX_D}")
     shapes = partitions_of(d)
     table = [[character(s, mu) for mu in shapes] for s in shapes]
@@ -307,14 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_n=True, need_d=True) -> None:
+    def add_common(p: argparse.ArgumentParser, need_n=True, need_d=True,
+                   outputs=("text", "json")) -> None:
         p.add_argument("--n", type=int, required=need_n, default=None,
                        help="alphabet size (matrix side)")
         p.add_argument("--d", type=int, required=need_d, default=None,
                        help="word length (matrix entry sum)")
-        p.add_argument("--output", choices=("text", "json", "dot"), default="text")
-        p.add_argument("--max-tensor-dim", type=int, default=None,
-                       help="override the oracle word-space guard")
+        p.add_argument("--output", choices=outputs, default="text")
 
     p = sub.add_parser("dim", help="basis size and centre dimension")
     add_common(p)
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="matrix literal")
     p.add_argument("--show-euler", action="store_true",
                    help="print each matching class with its composite graph")
-    add_common(p, need_n=False, need_d=False)
+    add_common(p, need_n=False, need_d=False, outputs=("text", "json", "dot"))
     p.set_defaults(func=_cmd_multiply)
 
     p = sub.add_parser("centre", help="class-sum expansions")
@@ -351,11 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite at (n, d)")
     add_common(p)
+    p.add_argument("--max-tensor-dim", type=int, default=None,
+                   help="override the oracle word-space guard")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="DOT rendering of an index matrix")
     p.add_argument("matrix", help="matrix literal")
-    add_common(p, need_n=False, need_d=False)
+    add_common(p, need_n=False, need_d=False, outputs=("text", "json", "dot"))
     p.set_defaults(func=_cmd_graph)
 
     return parser

@@ -28,11 +28,12 @@ every basis pair at several sizes, with no per-case exceptions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .basis import (
     Matrix,
@@ -54,7 +55,7 @@ class EulerClass:
     tensor: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _multinomial(total: int, parts: list[int]) -> int:
+def _multinomial(total: int, parts: Sequence[int]) -> int:
     out, rem = 1, total
     for p in parts:
         out *= comb(rem, p)
@@ -62,40 +63,33 @@ def _multinomial(total: int, parts: list[int]) -> int:
     return out
 
 
+def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every vector of nonnegative integers with sum ``total`` and entry c at
+    most ``caps[c]``, in decreasing lexicographic order; ``caps`` is nonempty."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = caps[1:]
+    for v in range(min(total, caps[0]), max(total - sum(rest), 0) - 1, -1):
+        for tail in compositions(total - v, rest):
+            yield (v, *tail)
+
+
 def _contingency_tables(
     rsums: tuple[int, ...], csums: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All nonnegative integer matrices with the given row and column sums."""
+    """All nonnegative integer matrices with the given row and column sums,
+    in decreasing row-major lexicographic order."""
     if sum(rsums) != sum(csums):
         return
-    nrows, ncols = len(rsums), len(csums)
-    table = [[0] * ncols for _ in range(nrows)]
-    remaining = list(csums)
-
-    def fill_row(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == nrows:
-            yield tuple(tuple(row) for row in table)
-            return
-
-        def fill_cell(c: int, rem: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if c == ncols - 1:
-                if rem <= remaining[c]:
-                    table[r][c] = rem
-                    remaining[c] -= rem
-                    yield from fill_row(r + 1)
-                    remaining[c] += rem
-                    table[r][c] = 0
-                return
-            for v in range(min(rem, remaining[c]), -1, -1):
-                table[r][c] = v
-                remaining[c] -= v
-                yield from fill_cell(c + 1, rem - v)
-                remaining[c] += v
-                table[r][c] = 0
-
-        yield from fill_cell(0, rsums[r])
-
-    yield from fill_row(0)
+    if len(rsums) == 1:
+        yield (tuple(csums),)
+        return
+    for row in compositions(rsums[0], csums):
+        remaining = tuple(c - v for c, v in zip(csums, row))
+        for rest in _contingency_tables(rsums[1:], remaining):
+            yield (row, *rest)
 
 
 def euler_classes(left: Matrix, right: Matrix) -> tuple[EulerClass, ...]:
@@ -111,32 +105,15 @@ def euler_classes(left: Matrix, right: Matrix) -> tuple[EulerClass, ...]:
     n2, d2 = check_matrix(right)
     if (n, d) != (n2, d2):
         raise ValueError(f"ambient mismatch: ({n},{d}) vs ({n2},{d2})")
-    per_middle: list[list[tuple[tuple[int, ...], ...]]] = []
-    for i in range(n):
-        rsums = tuple(right[k][i] for k in range(n))
-        csums = tuple(left[i][j] for j in range(n))
-        slices = list(_contingency_tables(rsums, csums))
-        if not slices:
-            return ()
-        per_middle.append(slices)
-
-    out: list[EulerClass] = []
-
-    def build(i: int, chosen: list[tuple[tuple[int, ...], ...]]) -> None:
-        if i == n:
-            tensor = tuple(
-                tuple(tuple(chosen[mid][k][j] for j in range(n)) for mid in range(n))
-                for k in range(n)
-            )
-            out.append(EulerClass(tensor=tensor))
-            return
-        for s in per_middle[i]:
-            chosen.append(s)
-            build(i + 1, chosen)
-            chosen.pop()
-
-    build(0, [])
-    return tuple(out)
+    if row_sums(left) != col_sums(right):
+        return ()
+    per_middle = [
+        tuple(_contingency_tables(col, row)) for col, row in zip(zip(*right), left)
+    ]
+    return tuple(
+        EulerClass(tensor=tuple(zip(*chosen)))
+        for chosen in itertools.product(*per_middle)
+    )
 
 
 def product_graph(cls: EulerClass) -> Matrix:
@@ -216,29 +193,15 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
                 total += acc
             return
         i, j = cells[ci]
-        counts = [0] * n
-
-        def slot(k: int, rem: int) -> None:
-            if k == n - 1:
-                if rem <= rem_left[k][j] and rem <= rem_right[i][k]:
-                    counts[k] = rem
-                    rem_left[k][j] -= rem
-                    rem_right[i][k] -= rem
-                    rec(ci + 1, acc * _multinomial(target[i][j], counts))
-                    rem_left[k][j] += rem
-                    rem_right[i][k] += rem
-                    counts[k] = 0
-                return
-            for v in range(min(rem, rem_left[k][j], rem_right[i][k]), -1, -1):
-                counts[k] = v
+        caps = [min(rem_left[k][j], rem_right[i][k]) for k in range(n)]
+        for counts in compositions(target[i][j], caps):
+            for k, v in enumerate(counts):
                 rem_left[k][j] -= v
                 rem_right[i][k] -= v
-                slot(k + 1, rem - v)
+            rec(ci + 1, acc * _multinomial(target[i][j], counts))
+            for k, v in enumerate(counts):
                 rem_left[k][j] += v
                 rem_right[i][k] += v
-                counts[k] = 0
-
-        slot(0, target[i][j])
 
     rec(0, 1)
     return total

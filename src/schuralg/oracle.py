@@ -111,7 +111,6 @@ def multiply_via_oracle(
     return element_from_operator(composite, x.n, x.d)
 
 
-@lru_cache(maxsize=None)
 def _basis_operator_stack(n: int, d: int) -> np.ndarray:
     """Stacked 0/1 operator matrices of every basis index, int64."""
     B = enumerate_basis(n, d)

@@ -30,6 +30,10 @@ def run_cli(capsys, *argv):
         ("graph_worked_left.dot", ("graph", WORKED_LEFT)),
         ("multiply_worked_pair.dot",
          ("multiply", WORKED_LEFT, WORKED_RIGHT, "--output", "dot")),
+        ("multiply_worked_pair_euler.txt",
+         ("multiply", WORKED_LEFT, WORKED_RIGHT, "--show-euler")),
+        ("multiply_worked_pair_euler.json",
+         ("multiply", WORKED_LEFT, WORKED_RIGHT, "--show-euler", "--output", "json")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):
@@ -234,6 +238,34 @@ def test_usage_error_on_mismatched_operands(capsys):
 def test_usage_error_on_missing_arguments(capsys):
     code, _, _ = run_cli(capsys, "dim", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("dim", "--n", "0", "--d", "2"), ("dim", "--n", "2", "--d", "-1"),
+     ("character-table", "--d", "-1")],
+    ids=["dim-n0", "dim-d-1", "character-table-d-1"],
+)
+def test_invalid_size_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("dim", "--n", "2", "--d", "2", "--max-tensor-dim", "-5"),
+     ("idempotents", "--n", "2", "--d", "2", "--max-tensor-dim", "100")]
+    + [(cmd, "--n", "2", "--d", "2", "--output", "dot")
+       for cmd in ("dim", "basis", "centre", "idempotents", "verify")],
+    ids=["dim-max-tensor-dim", "idempotents-max-tensor-dim"]
+    + [f"{cmd}-dot" for cmd in ("dim", "basis", "centre", "idempotents", "verify")],
+)
+def test_option_not_read_by_command_is_refused(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_resource_error_on_large_n(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from schuralg.basis import (
     SchurElement,
 )
 from schuralg.multiplication import (
+    _contingency_tables,
     class_multiplicity,
+    compositions,
     euler_classes,
     multiply,
     product_graph,
@@ -24,6 +27,38 @@ LEFT = ((2, 0, 0), (1, 0, 2), (0, 0, 0))
 RIGHT = ((1, 0, 0), (1, 1, 0), (0, 2, 0))
 COMPOSITE_A = ((1, 0, 0), (2, 0, 0), (0, 0, 2))
 COMPOSITE_B = ((1, 0, 0), (1, 0, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "caps", [(0,), (3,), (2, 0), (1, 3), (2, 2, 2), (0, 3, 1), (3, 1, 0, 2)]
+)
+def test_compositions_match_filtered_product(caps):
+    for total in range(sum(caps) + 1):
+        expected = sorted(
+            (v for v in itertools.product(*(range(c + 1) for c in caps))
+             if sum(v) == total),
+            reverse=True,
+        )
+        assert list(compositions(total, caps)) == expected
+    assert list(compositions(sum(caps) + 1, caps)) == []
+
+
+@pytest.mark.parametrize(
+    "rsums, csums",
+    [((2,), (1, 1)), ((1, 2), (3,)), ((2, 1), (1, 2)), ((2, 0, 1), (1, 1, 1)),
+     ((3, 1), (0, 2, 2)), ((1, 1), (1, 2)), ((2, 2), (3,))],
+)
+def test_contingency_tables_match_brute_force(rsums, csums):
+    cells = [[range(min(r, c) + 1) for c in csums] for r in rsums]
+    candidates = itertools.product(*(itertools.product(*row) for row in cells))
+    expected = sorted(
+        (m for m in candidates
+         if tuple(map(sum, m)) == rsums and tuple(map(sum, zip(*m))) == csums),
+        reverse=True,
+    )
+    tables = list(_contingency_tables(rsums, csums))
+    assert tables == expected
+    assert bool(tables) == (sum(rsums) == sum(csums))
 
 
 def test_euler_classes_worked_pair_count():
