@@ -22,7 +22,6 @@ from .basis import (
     row_sums,
 )
 from .centre import (
-    CentreElement,
     centre_basis_element,
     centre_dimension,
     class_coefficient,
@@ -62,7 +61,6 @@ from .partitions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CentreElement",
     "DEFAULT_MAX_TENSOR_DIM",
     "EulerClass",
     "GeneralizedPermutation",

@@ -40,12 +40,13 @@ class GeneralizedPermutation(NamedTuple):
 
 
 def check_matrix(entries: Matrix) -> tuple[int, int]:
-    """Validate a square nonnegative integer matrix; return (n, entry sum)."""
+    """Validate a square matrix of nonnegative ints (bools and floats are
+    refused); return (n, entry sum)."""
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise ValueError(f"index matrix must be square and nonempty: {entries!r}")
-    if any(v < 0 for row in entries for v in row):
-        raise ValueError(f"index matrix entries must be nonnegative: {entries!r}")
+    if any(type(v) is not int or v < 0 for row in entries for v in row):
+        raise ValueError(f"index matrix entries must be nonnegative ints: {entries!r}")
     return n, sum(v for row in entries for v in row)
 
 

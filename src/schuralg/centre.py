@@ -14,13 +14,13 @@ of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .basis import (
     Matrix,
+    MultiIndex,
     SchurElement,
     canonical_pair,
     check_matrix,
@@ -39,14 +39,6 @@ from .partitions import (
     permute_positions,
     tableaux_count,
 )
-
-
-@dataclass(frozen=True)
-class CentreElement:
-    """An element of the centre together with the partition that indexes it."""
-
-    label: Partition
-    element: SchurElement
 
 
 @lru_cache(maxsize=None)
@@ -75,17 +67,24 @@ def class_coefficient(shape: Partition, entries: Matrix) -> int:
     return _pair_count(shape, top, bottom)
 
 
-def centre_basis_element(shape: Partition, n: int, d: int) -> CentreElement:
+def _square_block(n: int, d: int) -> list[tuple[Matrix, MultiIndex, MultiIndex]]:
+    """Every basis index whose row sums equal its column sums, with its
+    canonical word pair; class sums vanish off this block."""
+    return [
+        (D, *canonical_pair(D))
+        for D in enumerate_basis(n, d)
+        if row_sums(D) == col_sums(D)
+    ]
+
+
+def centre_basis_element(shape: Partition, n: int, d: int) -> SchurElement:
     """Image of the class sum of cycle type ``shape`` inside S(n,d)."""
     shape = check_partition(shape)
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
-    terms = {}
-    for D in enumerate_basis(n, d):
-        c = class_coefficient(shape, D)
-        if c:
-            terms[D] = c
-    return CentreElement(label=shape, element=SchurElement(n, d, terms))
+    return SchurElement(
+        n, d, {D: _pair_count(shape, top, bottom) for D, top, bottom in _square_block(n, d)}
+    )
 
 
 def is_central(x: SchurElement) -> bool:
@@ -97,7 +96,7 @@ def is_central(x: SchurElement) -> bool:
     return True
 
 
-def primitive_idempotent(shape: Partition, n: int, d: int) -> CentreElement:
+def primitive_idempotent(shape: Partition, n: int, d: int) -> SchurElement:
     """The minimal central idempotent indexed by ``shape``:
 
         (f / d!) * sum over classes mu of chi_shape(mu) * Z_mu,
@@ -109,25 +108,26 @@ def primitive_idempotent(shape: Partition, n: int, d: int) -> CentreElement:
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
     f = tableaux_count(shape)
-    scale = Fraction(f, factorial(d))
-    total = SchurElement.zero(n, d)
-    for mu in partitions_of(d):
-        ch = character(shape, mu)
-        if ch == 0:
-            continue
-        total = total + centre_basis_element(mu, n, d).element.scale(scale * ch)
-    return CentreElement(label=shape, element=total)
+    weights = {
+        mu: Fraction(f * ch, factorial(d))
+        for mu in partitions_of(d)
+        if (ch := character(shape, mu))
+    }
+    return SchurElement(n, d, {
+        D: sum(w * _pair_count(mu, top, bottom) for mu, w in weights.items())
+        for D, top, bottom in _square_block(n, d)
+    })
 
 
 def centre_dimension(n: int, d: int) -> int:
     """Rank of the class-sum images as vectors in the basis.
 
     The class sums always span the centre but are linearly dependent when
-    n < d, so the rank is computed, not assumed.
+    n < d, so the rank is computed, not assumed.  Only the square block's
+    columns can be nonzero, so only they are ranked.
     """
-    B = enumerate_basis(n, d)
-    rows = []
-    for shape in partitions_of(d):
-        terms = centre_basis_element(shape, n, d).element.terms
-        rows.append([terms.get(D, 0) for D in B])
-    return rational_rank(rows)
+    block = _square_block(n, d)
+    return rational_rank([
+        [_pair_count(shape, top, bottom) for _, top, bottom in block]
+        for shape in partitions_of(d)
+    ])

@@ -150,9 +150,8 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     n, d = _ambient_from_matrices(args, left, right)
     _guard_ambient(n, d)
     product = multiply(basis_element(left), basis_element(right))
-    classes = euler_classes(left, right)
     if args.output == "dot":
-        for idx, cls in enumerate(classes):
+        for idx, cls in enumerate(euler_classes(left, right)):
             print(euler_class_to_dot(cls, name=f"matching_{idx}"))
         return EXIT_OK
     payload: dict = {
@@ -165,6 +164,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     }
     lines = [f"product = {format_element(product)}"]
     if args.show_euler:
+        classes = euler_classes(left, right)
         payload["euler_classes"] = [
             {
                 "tensor": [[list(r) for r in slice_] for slice_ in cls.tensor],
@@ -200,10 +200,8 @@ def _cmd_centre(args: argparse.Namespace) -> int:
     items = []
     for shape in _selected_shapes(args):
         z = centre_basis_element(shape, args.n, args.d)
-        lines.append(f"Z{format_partition(shape)} = {format_element(z.element)}")
-        items.append(
-            {"partition": list(shape), "element": element_to_json(z.element)}
-        )
+        lines.append(f"Z{format_partition(shape)} = {format_element(z)}")
+        items.append({"partition": list(shape), "element": element_to_json(z)})
     payload = {
         "command": "centre",
         "n": args.n,
@@ -217,9 +215,7 @@ def _cmd_centre(args: argparse.Namespace) -> int:
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     _guard_ambient(args.n, args.d)
     _guard_enumeration(args.n, args.d)
-    eps = {
-        s: primitive_idempotent(s, args.n, args.d).element for s in _selected_shapes(args)
-    }
+    eps = {s: primitive_idempotent(s, args.n, args.d) for s in _selected_shapes(args)}
     lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()]
     checks = {"idempotent": first_non_idempotent(eps) is None}
     lines.append(f"idempotent: {checks['idempotent']}")

@@ -3,7 +3,6 @@
 Literals:
     matrix      "2,0,0;1,0,2;0,0,0"     rows split by ';', entries by ','
     partition   "3,1"
-    word        "1,1,2,2,2"
 
 Rationals serialize as strings "p/q" in lowest terms ("p" for integers) so
 JSON consumers never lose precision.  Canonical JSON (sorted keys, fixed
@@ -15,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .basis import MultiIndex, Matrix, SchurElement, check_matrix
+from .basis import Matrix, SchurElement, check_matrix
 from .multiplication import EulerClass
 from .partitions import Partition, check_partition
 
@@ -47,13 +46,6 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(shape: Partition) -> str:
     return "[" + ",".join(str(p) for p in shape) + "]"
-
-
-def parse_word(text: str) -> MultiIndex:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed word literal {text!r}: {exc}") from None
 
 
 def format_scalar(value: Fraction | int) -> str:

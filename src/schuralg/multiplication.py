@@ -151,11 +151,16 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
 
 
 def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Bilinear product; the left factor acts first on words."""
+    """Bilinear product; the left factor acts first on words.  Only term
+    pairs with row_sums(Dx) == col_sums(Dy) can contribute, so only those
+    are visited."""
     x._check_ambient(y)
+    by_col_sums: dict[tuple[int, ...], list[tuple[Matrix, Fraction]]] = {}
+    for Dy, cy in y.terms.items():
+        by_col_sums.setdefault(col_sums(Dy), []).append((Dy, cy))
     acc: dict[Matrix, Fraction] = {}
     for Dx, cx in x.terms.items():
-        for Dy, cy in y.terms.items():
+        for Dy, cy in by_col_sums.get(row_sums(Dx), ()):
             cxy = cx * cy
             for P, mult in _basis_product(Dx, Dy):
                 acc[P] = acc.get(P, Fraction(0)) + cxy * mult

@@ -25,9 +25,9 @@ Permutation = tuple[int, ...]
 
 def check_partition(parts: tuple[int, ...]) -> Partition:
     """Validate and return a partition, raising ValueError if malformed."""
-    parts = tuple(int(p) for p in parts)
-    if any(p < 1 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
+    parts = tuple(parts)
+    if any(type(p) is not int or p < 1 for p in parts):
+        raise ValueError(f"partition parts must be positive ints: {parts}")
     if any(parts[t] < parts[t + 1] for t in range(len(parts) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts

@@ -135,7 +135,7 @@ def check_content_margins(n: int, d: int, limit_pairs: int = 10_000, seed: int =
 
 def check_centrality(n: int, d: int) -> CheckResult:
     for shape in partitions_of(d):
-        if not is_central(centre_basis_element(shape, n, d).element):
+        if not is_central(centre_basis_element(shape, n, d)):
             return _result("centrality", False, f"class sum {shape} not central")
     return _result("centrality", True, f"{len(partitions_of(d))} class sums")
 
@@ -203,7 +203,7 @@ def sums_to_identity(eps: dict[Partition, SchurElement], n: int, d: int) -> bool
 
 def check_idempotents(n: int, d: int) -> CheckResult:
     shapes = partitions_of(d)
-    eps = {s: primitive_idempotent(s, n, d).element for s in shapes}
+    eps = {s: primitive_idempotent(s, n, d) for s in shapes}
     for s in shapes:
         if len(s) > n and not eps[s].is_zero():
             return _result("idempotents", False, f"{s} has >{n} parts but is nonzero")

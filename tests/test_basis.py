@@ -241,6 +241,22 @@ def test_element_rejects_bool_scalars():
             refused()
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((1.5, 0), (0, 0.5)),
+        ((2.0, 0), (0, 0)),
+        ((True, 0), (0, True)),
+        ((Fraction(2), 0), (0, 0)),
+        (("2", 0), (0, 0)),
+    ],
+    ids=["float", "integral-float", "bool", "fraction", "str"],
+)
+def test_basis_element_rejects_non_int_entries(entries):
+    with pytest.raises(ValueError):
+        basis_element(entries)
+
+
 # --------------------------------------------------------------- identity
 
 def test_identity_element_support_two_four():

@@ -76,6 +76,16 @@ def test_multiply_worked_example(capsys):
     assert "product = [1,0,0;1,0,1;1,0,1] + 2*[1,0,0;2,0,0;0,0,2]" in out
 
 
+def test_multiply_lists_classes_only_when_shown(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matching classes listed but not shown")
+
+    monkeypatch.setattr("schuralg.cli.euler_classes", refuse)
+    code, out, _ = run_cli(capsys, "multiply", WORKED_LEFT, WORKED_RIGHT)
+    assert code == 0
+    assert "product = [1,0,0;1,0,1;1,0,1] + 2*[1,0,0;2,0,0;0,0,2]" in out
+
+
 def test_multiply_show_euler(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -15,7 +15,6 @@ from schuralg.formats import (
     matrix_to_dot,
     parse_matrix,
     parse_partition,
-    parse_word,
 )
 from schuralg.multiplication import euler_classes
 
@@ -44,12 +43,6 @@ def test_partition_literal_round_trip():
         parse_partition("1,3")
     with pytest.raises(ValueError):
         parse_partition("a,b")
-
-
-def test_parse_word():
-    assert parse_word("1,1,2,2,2") == (1, 1, 2, 2, 2)
-    with pytest.raises(ValueError):
-        parse_word("1,zwei")
 
 
 def test_format_scalar_lowest_terms():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schuralg.basis import (
     basis_element,
@@ -212,6 +213,60 @@ def test_bilinearity():
     assert multiply(x + y, z) == multiply(x, z) + multiply(y, z)
     assert multiply(z, x + y) == multiply(z, x) + multiply(z, y)
     assert multiply(x.scale(7), y) == multiply(x, y).scale(7)
+
+
+# ------------------------------------------- rational elements, by block
+
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def rational_elements(n, d):
+    """Sparse elements with nonzero Fraction coefficients whose terms lie in
+    at least two weight blocks (row sums, column sums)."""
+    return st.dictionaries(
+        st.sampled_from(enumerate_basis(n, d)), SCALARS, min_size=2, max_size=5
+    ).filter(
+        lambda terms: len({(row_sums(D), col_sums(D)) for D in terms}) >= 2
+    ).map(lambda terms: SchurElement(n, d, terms))
+
+
+SMALL_AMBIENTS = pytest.mark.parametrize("n, d", [(2, 3), (3, 2)])
+PROPERTY = settings(max_examples=20, deadline=None)
+
+
+@SMALL_AMBIENTS
+@PROPERTY
+@given(data=st.data())
+def test_rational_product_matches_oracle(n, d, data):
+    x, y = data.draw(rational_elements(n, d)), data.draw(rational_elements(n, d))
+    assert multiply(x, y) == multiply_via_oracle(x, y)
+
+
+@SMALL_AMBIENTS
+@PROPERTY
+@given(data=st.data())
+def test_rational_product_bilinear(n, d, data):
+    x, y, z = (data.draw(rational_elements(n, d)) for _ in range(3))
+    a = data.draw(SCALARS)
+    assert multiply(x.scale(a) + y, z) == multiply(x, z).scale(a) + multiply(y, z)
+    assert multiply(z, x.scale(a) + y) == multiply(z, x).scale(a) + multiply(z, y)
+
+
+@SMALL_AMBIENTS
+@PROPERTY
+@given(data=st.data())
+def test_rational_product_associative(n, d, data):
+    x, y, z = (data.draw(rational_elements(n, d)) for _ in range(3))
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+
+
+@SMALL_AMBIENTS
+@PROPERTY
+@given(data=st.data())
+def test_rational_identity_law(n, d, data):
+    x = data.draw(rational_elements(n, d))
+    e = identity_element(n, d)
+    assert multiply(e, x) == x == multiply(x, e)
 
 
 def test_element_operator_overloads():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from schuralg.partitions import (
     character,
+    check_partition,
     class_size,
     conjugate,
     cycle_type,
@@ -105,6 +106,16 @@ def test_partitions_reverse_lex_order():
     for d in range(1, 9):
         shapes = partitions_of(d)
         assert shapes == tuple(sorted(shapes, reverse=True))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(2.7, 1.2), (2.0, 1.0), ("2", "1"), (True,)],
+    ids=["float", "integral-float", "str", "bool"],
+)
+def test_check_partition_rejects_non_int_parts(parts):
+    with pytest.raises(ValueError):
+        check_partition(parts)
 
 
 @given(partition_strategy())
