@@ -3,7 +3,7 @@
 Basis indexed by n x n nonnegative integer matrices with entry sum d;
 products by path counting on bipartite multigraphs; centre from symmetric
 group class sums; primitive central idempotents from characters; and a
-dense operator oracle on the word space that cross-checks everything.
+weight-block operator oracle on the word space that cross-checks products.
 """
 
 from .basis import (
@@ -40,7 +40,6 @@ from .oracle import (
     DEFAULT_MAX_TENSOR_DIM,
     TensorDimensionError,
     dense_operator,
-    element_from_operator,
     find_product_mismatch,
     multiply_via_oracle,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "conjugate",
     "cycle_type",
     "dense_operator",
-    "element_from_operator",
     "enumerate_basis",
     "euler_classes",
     "find_product_mismatch",

@@ -93,6 +93,17 @@ def enumerate_basis(n: int, d: int) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def weight_blocks(n: int, d: int) -> dict[tuple[MultiIndex, MultiIndex], list]:
+    """The basis by weight block: each (row sums, column sums) key maps to its
+    indices in ``enumerate_basis`` order, each as (D, top, bottom) with D's
+    canonical word pair.  Shared by every caller; do not mutate."""
+    blocks: dict = {}
+    for D in enumerate_basis(n, d):
+        blocks.setdefault((row_sums(D), col_sums(D)), []).append((D, *canonical_pair(D)))
+    return blocks
+
+
 def content(word: MultiIndex, n: int) -> tuple[int, ...]:
     """Letter multiplicities of a word over {1, ..., n}."""
     counts = [0] * n

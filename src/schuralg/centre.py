@@ -27,6 +27,7 @@ from .basis import (
     col_sums,
     enumerate_basis,
     row_sums,
+    weight_blocks,
 )
 from .linalg import rational_rank
 from .multiplication import multiply
@@ -71,9 +72,10 @@ def _square_block(n: int, d: int) -> list[tuple[Matrix, MultiIndex, MultiIndex]]
     """Every basis index whose row sums equal its column sums, with its
     canonical word pair; class sums vanish off this block."""
     return [
-        (D, *canonical_pair(D))
-        for D in enumerate_basis(n, d)
-        if row_sums(D) == col_sums(D)
+        member
+        for (rows, cols), members in weight_blocks(n, d).items()
+        if rows == cols
+        for member in members
     ]
 
 

@@ -9,15 +9,13 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
 
 Resource guards (defaults): n <= 6, d <= 8; word space n^d <= 10_000 for
-verify's oracle-backed checks (override with verify --max-tensor-dim or
-the environment variable SCHUR_MAX_TENSOR_DIM); basis enumeration capped
-at 200_000 matrices.
+verify's oracle-backed checks (override with verify --max-tensor-dim);
+basis enumeration capped at 200_000 matrices.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from math import factorial
 
@@ -76,21 +74,6 @@ def _guard_enumeration(n: int, d: int) -> None:
         raise TensorDimensionError(
             f"basis of M({n},{d}) has {size} matrices, over the {MAX_ENUMERATION} cap"
         )
-
-
-def _resolve_max_dim(args: argparse.Namespace) -> int:
-    limit, source = args.max_tensor_dim, "--max-tensor-dim"
-    if limit is None:
-        env = os.environ.get("SCHUR_MAX_TENSOR_DIM")
-        if env is None:
-            return DEFAULT_MAX_TENSOR_DIM
-        try:
-            limit, source = int(env), "SCHUR_MAX_TENSOR_DIM"
-        except ValueError:
-            raise ValueError(f"SCHUR_MAX_TENSOR_DIM is not an integer: {env!r}")
-    if limit <= 0:
-        raise ValueError(f"{source} must be positive, got {limit}")
-    return limit
 
 
 def _ambient_from_matrices(args: argparse.Namespace, *matrices) -> tuple[int, int]:
@@ -274,8 +257,9 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _guard_ambient(args.n, args.d)
     _guard_enumeration(args.n, args.d)
-    max_dim = _resolve_max_dim(args)
-    results = run_suite(args.n, args.d, max_dim)
+    if args.max_tensor_dim <= 0:
+        raise ValueError(f"--max-tensor-dim must be positive, got {args.max_tensor_dim}")
+    results = run_suite(args.n, args.d, args.max_tensor_dim)
     lines = [
         f"{r.status.upper():5} {r.name}" + (f" ({r.detail})" if r.detail else "")
         for r in results
@@ -351,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite at (n, d)")
     add_common(p)
-    p.add_argument("--max-tensor-dim", type=int, default=None,
+    p.add_argument("--max-tensor-dim", type=int, default=DEFAULT_MAX_TENSOR_DIM,
                    help="override the oracle word-space guard")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,15 +1,14 @@
-"""Dense ground-truth realization of elements as operators on the word space.
+"""Ground-truth realization of elements as operators on the word space.
 
-An element of S(n,d) acts on the n^d-dimensional span of length-d words.
-This module materializes that action as a literal n^d x n^d matrix of exact
-rationals, composes such matrices, and reads the result back into the
-sparse basis form.  It exists to cross-check the combinatorial product:
-identical output, computed by a completely different route.
-
-Reading an operator back is well defined because distinct basis indices
-have disjoint 0/1 supports: each matrix entry (word_out, word_in) belongs
-to exactly one basis index, so one entry per index, taken at its canonical
-word pair, determines the expansion of any equivariant operator.
+An element of S(n,d) acts on the span of the n^d length-d words.  The basis
+operator of D maps the words of content col_sums(D) to words of content
+row_sums(D) and kills the rest (Green, Polynomial Representations of GL_n,
+LNM 830, sections 2-3), so each operator is built only on that weight
+block, rows and columns in lexicographic order.  Products compose blocks
+where the middle weights meet and read each basis index at its canonical
+word pair: distinct indices have disjoint 0/1 supports, so that one entry
+is its coefficient.  This cross-checks the combinatorial product by a
+completely different route.
 
 A size guard (default n^d <= 10_000) protects against accidental
 exponential blowups; exceeding it raises TensorDimensionError.
@@ -18,19 +17,21 @@ exponential blowups; exceeding it raises TensorDimensionError.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from .basis import (
     Matrix,
     MultiIndex,
+    Scalar,
     SchurElement,
     apply_basis,
-    canonical_pair,
+    col_sums,
+    content,
     enumerate_basis,
+    row_sums,
+    weight_blocks,
 )
 from .multiplication import _basis_product
 
@@ -58,17 +59,49 @@ def check_tensor_dimension(n: int, d: int, max_dim: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _word_positions(n: int, d: int) -> dict[MultiIndex, int]:
-    return {w: k for k, w in enumerate(all_words(n, d))}
+def _weight_spaces(n: int, d: int) -> dict[tuple[int, ...], dict[MultiIndex, int]]:
+    """Each letter content's words, mapped to their lexicographic positions."""
+    spaces: dict = {}
+    for word in all_words(n, d):
+        space = spaces.setdefault(content(word, n), {})
+        space[word] = len(space)
+    return spaces
 
 
-def _operator_cells(D: Matrix, n: int, d: int) -> Iterator[tuple[int, int]]:
-    """Positions (output word, input word) of the 1 entries in the 0/1
-    operator of a basis index."""
-    pos = _word_positions(n, d)
-    for col, word in enumerate(all_words(n, d)):
-        for image in apply_basis(D, word):
-            yield pos[image], col
+def _operator_blocks(terms: dict[Matrix, Scalar], n: int, d: int) -> dict:
+    """The operator of sum c * xi_D, one matrix per (row sums, column sums)
+    block: each term is 0/1 on its block times c, int64 for an ``int`` c and
+    exact object dtype otherwise.  An image outside the block raises
+    KeyError instead of being dropped."""
+    spaces = _weight_spaces(n, d)
+    blocks: dict = {}
+    for D, coeff in terms.items():
+        key = (row_sums(D), col_sums(D))
+        rows, cols = spaces[key[0]], spaces[key[1]]
+        block = np.zeros((len(rows), len(cols)), np.int64 if type(coeff) is int else object)
+        for col, word in enumerate(cols):
+            for image in apply_basis(D, word):
+                block[rows[image], col] = 1
+        blocks[key] = blocks.get(key, 0) + block * coeff
+    return blocks
+
+
+def _compose(first: dict, then: dict, n: int, d: int) -> dict[Matrix, Scalar]:
+    """Expansion of the operator ``then`` after ``first``: blocks compose only
+    where the middle weights meet, and each target index is read at its
+    canonical cell."""
+    composite: dict = {}
+    for (middle, source), a in first.items():
+        for (target, inner), b in then.items():
+            if inner == middle:
+                composite[target, source] = composite.get((target, source), 0) + b @ a
+    spaces, expansion = _weight_spaces(n, d), {}
+    for (target, source), M in composite.items():
+        rows, cols = spaces[target], spaces[source]
+        for P, top, bottom in weight_blocks(n, d)[target, source]:
+            if coeff := M[rows[top], cols[bottom]]:
+                expansion[P] = coeff
+    return expansion
 
 
 def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
@@ -78,74 +111,43 @@ def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
     order.
     """
     dim = check_tensor_dimension(x.n, x.d, max_dim)
+    pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
+    spaces = _weight_spaces(x.n, x.d)
     M = np.zeros((dim, dim), dtype=object)
-    for D, coeff in x.terms.items():
-        for row, col in _operator_cells(D, x.n, x.d):
-            M[row, col] += coeff
+    for (target, source), block in _operator_blocks(x.terms, x.n, x.d).items():
+        M[np.ix_([pos[w] for w in spaces[target]], [pos[w] for w in spaces[source]])] = block
     return M
-
-
-def element_from_operator(M: np.ndarray, n: int, d: int) -> SchurElement:
-    """Sparse expansion of an equivariant operator: one read per basis index."""
-    pos = _word_positions(n, d)
-    terms: dict[Matrix, Fraction] = {}
-    for D in enumerate_basis(n, d):
-        top, bottom = canonical_pair(D)
-        coeff = M[pos[top], pos[bottom]]
-        if coeff:
-            terms[D] = Fraction(coeff)
-    return SchurElement(n, d, terms)
 
 
 def multiply_via_oracle(
     x: SchurElement, y: SchurElement, max_dim: int | None = None
 ) -> SchurElement:
-    """Product computed as dense operator composition.
+    """Product computed as operator composition, block by block.
 
-    In x * y the left factor acts first on words, so the composite matrix
-    is dense_operator(y) @ dense_operator(x).  Exact; agrees with the
-    combinatorial ``multiply``.
+    In x * y the left factor acts first on words, so the composite is the
+    operator of y after that of x.  Exact; agrees with the combinatorial
+    ``multiply``.
     """
     x._check_ambient(y)
-    composite = dense_operator(y, max_dim) @ dense_operator(x, max_dim)
-    return element_from_operator(composite, x.n, x.d)
-
-
-def _basis_operator_stack(n: int, d: int) -> np.ndarray:
-    """Stacked 0/1 operator matrices of every basis index, int64."""
-    B = enumerate_basis(n, d)
-    ops = np.zeros((len(B), n**d, n**d), dtype=np.int64)
-    for bi, D in enumerate(B):
-        for row, col in _operator_cells(D, n, d):
-            ops[bi, row, col] = 1
-    return ops
+    check_tensor_dimension(x.n, x.d, max_dim)
+    blocks = [_operator_blocks(z.terms, x.n, x.d) for z in (x, y)]
+    return SchurElement(x.n, x.d, _compose(*blocks, x.n, x.d))
 
 
 def find_product_mismatch(
     n: int, d: int, max_dim: int | None = None
 ) -> tuple[Matrix, Matrix] | None:
-    """Compare the combinatorial product against dense composition for every
-    ordered basis pair; return the first mismatching pair, or None.
+    """Compare the combinatorial product against operator composition for
+    every ordered basis pair; return the first mismatching pair, or None.
 
-    Uses batched int64 matrix products: basis operators are 0/1 and every
-    composite entry is at most n^d <= guard, far below the int64 range, so
-    the integer arithmetic is exact.
+    A pair whose weights do not meet composes to nothing, so its product
+    must be empty too.  Basis blocks are 0/1 and int64: every composite
+    entry is at most n^d <= guard, so the integer arithmetic is exact.
     """
     check_tensor_dimension(n, d, max_dim)
-    B = enumerate_basis(n, d)
-    pos = _word_positions(n, d)
-    ops = _basis_operator_stack(n, d)
-    can_rows = np.array([pos[canonical_pair(D).top] for D in B])
-    can_cols = np.array([pos[canonical_pair(D).bottom] for D in B])
-    index_of = {D: k for k, D in enumerate(B)}
-    for xi, Dx in enumerate(B):
-        # composites[yi] = op(Dy) @ op(Dx): left factor acts first
-        composites = ops @ ops[xi]
-        coeffs = composites[:, can_rows, can_cols]
-        for yi, Dy in enumerate(B):
-            expected = np.zeros(len(B), dtype=np.int64)
-            for P, mult in _basis_product(Dx, Dy):
-                expected[index_of[P]] = mult
-            if not np.array_equal(coeffs[yi], expected):
+    B = [(D, _operator_blocks({D: 1}, n, d)) for D in enumerate_basis(n, d)]
+    for Dx, x_blocks in B:
+        for Dy, y_blocks in B:
+            if _compose(x_blocks, y_blocks, n, d) != dict(_basis_product(Dx, Dy)):
                 return Dx, Dy
     return None

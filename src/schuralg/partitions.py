@@ -34,9 +34,10 @@ def check_partition(parts: tuple[int, ...]) -> Partition:
 
 
 def check_permutation(images: tuple[int, ...]) -> Permutation:
-    images = tuple(int(v) for v in images)
-    if sorted(images) != list(range(1, len(images) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+    """Validate a one-line permutation of 1..d; bools and floats are refused."""
+    images, d = tuple(images), len(images)
+    if any(type(v) is not int for v in images) or sorted(images) != list(range(1, d + 1)):
+        raise ValueError(f"not a permutation of 1..{d}: {images}")
     return images
 
 

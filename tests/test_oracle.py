@@ -5,19 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
     basis_element,
+    col_sums,
     enumerate_basis,
     identity_element,
     matrix_from_pair,
+    row_sums,
+    weight_blocks,
 )
 from schuralg.multiplication import multiply
 from schuralg.oracle import (
     TensorDimensionError,
     all_words,
     dense_operator,
-    element_from_operator,
     find_product_mismatch,
     multiply_via_oracle,
 )
@@ -50,19 +53,6 @@ def test_dense_operator_linear():
         brute_operator(D1, n, d) * Fraction(1, 2) + brute_operator(D2, n, d) * -3
     )
     assert np.array_equal(dense_operator(x), expected)
-
-
-def test_element_from_operator_round_trip():
-    rng = random.Random(23)
-    n, d = 2, 3
-    B = enumerate_basis(n, d)
-    for _ in range(10):
-        terms = {
-            D: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for D in rng.sample(B, 5)
-        }
-        x = SchurElement(n, d, terms)
-        assert element_from_operator(dense_operator(x), n, d) == x
 
 
 def test_oracle_worked_pair():
@@ -111,11 +101,66 @@ def test_composite_operator_fully_explained():
             composite = dense_operator(y) @ dense_operator(x)
             rebuilt = dense_operator(multiply(x, y))
             assert np.array_equal(composite, rebuilt)
+    # the block route against full-space composition, on sparse rational
+    # elements whose terms span at least two weight blocks
+    rng = random.Random(31)
+    for (n, d) in [(2, 3), (3, 2)]:
+        blocks = list(weight_blocks(n, d).values())
+        for _ in range(5):
+            x, y = (
+                SchurElement(n, d, {
+                    rng.choice(block)[0]: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                    for block in rng.sample(blocks, 3)
+                })
+                for _ in range(2)
+            )
+            composite = dense_operator(y) @ dense_operator(x)
+            assert np.array_equal(composite, dense_operator(multiply_via_oracle(x, y)))
 
 
 def test_batch_mismatch_search_clean():
     for (n, d) in [(2, 2), (3, 2), (2, 3)]:
         assert find_product_mismatch(n, d) is None
+
+
+def test_image_outside_weight_space_raises(monkeypatch):
+    real = oracle.apply_basis
+
+    def leaky(D, word):
+        return {**real(D, word), (1,) * len(word): 1}
+
+    monkeypatch.setattr(oracle, "apply_basis", leaky)
+    D = ((0, 1), (1, 1))  # row sums (1, 2): the word (1, 1, 1) is outside
+    with pytest.raises(KeyError):
+        dense_operator(basis_element(D))
+    with pytest.raises(KeyError):
+        find_product_mismatch(2, 3)
+
+
+def _patch_one_product(monkeypatch, pair, rewrite):
+    real = oracle._basis_product
+
+    def patched(Dx, Dy):
+        product = real(Dx, Dy)
+        return rewrite(product) if (Dx, Dy) == pair else product
+
+    monkeypatch.setattr(oracle, "_basis_product", patched)
+
+
+def test_mismatch_found_on_pair_whose_weights_do_not_meet(monkeypatch):
+    Dx, Dy = ((2, 0), (0, 0)), ((0, 0), (0, 2))
+    assert row_sums(Dx) != col_sums(Dy)
+    _patch_one_product(monkeypatch, (Dx, Dy), lambda product: ((((0, 0), (2, 0)), 1),))
+    assert find_product_mismatch(2, 2) == (Dx, Dy)
+
+
+def test_mismatch_found_on_wrong_coefficient(monkeypatch):
+    Dx, Dy = ((1, 1), (0, 0)), ((2, 0), (0, 0))
+    assert row_sums(Dx) == col_sums(Dy)
+    _patch_one_product(
+        monkeypatch, (Dx, Dy), lambda product: ((product[0][0], product[0][1] + 1), *product[1:])
+    )
+    assert find_product_mismatch(2, 2) == (Dx, Dy)
 
 
 def test_guard_rejects_large_word_space():

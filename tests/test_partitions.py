@@ -118,6 +118,16 @@ def test_check_partition_rejects_non_int_parts(parts):
         check_partition(parts)
 
 
+@pytest.mark.parametrize(
+    "images",
+    [(2.5, 1.2), (2.0, 1.0), (True, 2), ("2", "1")],
+    ids=["float", "integral-float", "bool", "str"],
+)
+def test_check_permutation_rejects_non_int_images(images):
+    with pytest.raises(ValueError):
+        cycle_type(images)
+
+
 @given(partition_strategy())
 def test_partition_strategy_members_are_enumerated(shape):
     assert shape in partitions_of(sum(shape))
