@@ -29,7 +29,6 @@ from .centre import (
     primitive_idempotent,
 )
 from .multiplication import (
-    EulerClass,
     class_multiplicity,
     euler_classes,
     multiply,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MAX_TENSOR_DIM",
-    "EulerClass",
     "GeneralizedPermutation",
     "Matrix",
     "MultiIndex",

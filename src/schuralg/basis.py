@@ -51,12 +51,11 @@ def check_matrix(entries: Matrix) -> tuple[int, int]:
 
 
 def row_sums(entries: Matrix) -> tuple[int, ...]:
-    return tuple(sum(row) for row in entries)
+    return tuple(map(sum, entries))
 
 
 def col_sums(entries: Matrix) -> tuple[int, ...]:
-    n = len(entries)
-    return tuple(sum(entries[a][b] for a in range(n)) for b in range(n))
+    return tuple(map(sum, zip(*entries)))
 
 
 def is_diagonal(entries: Matrix) -> bool:

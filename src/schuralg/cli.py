@@ -132,11 +132,11 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     right = parse_matrix(args.right)
     n, d = _ambient_from_matrices(args, left, right)
     _guard_ambient(n, d)
-    product = multiply(basis_element(left), basis_element(right))
     if args.output == "dot":
-        for idx, cls in enumerate(euler_classes(left, right)):
-            print(euler_class_to_dot(cls, name=f"matching_{idx}"))
+        for idx, tensor in enumerate(euler_classes(left, right)):
+            print(euler_class_to_dot(tensor, name=f"matching_{idx}"))
         return EXIT_OK
+    product = multiply(basis_element(left), basis_element(right))
     payload: dict = {
         "command": "multiply",
         "n": n,
@@ -150,17 +150,17 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
         classes = euler_classes(left, right)
         payload["euler_classes"] = [
             {
-                "tensor": [[list(r) for r in slice_] for slice_ in cls.tensor],
-                "product_graph": [list(r) for r in product_graph(cls)],
-                "multiplicity": class_multiplicity(cls),
+                "tensor": [[list(r) for r in layer] for layer in tensor],
+                "product_graph": [list(r) for r in product_graph(tensor)],
+                "multiplicity": class_multiplicity(tensor),
             }
-            for cls in classes
+            for tensor in classes
         ]
         lines.append(f"euler classes: {len(classes)}")
-        for idx, cls in enumerate(classes):
+        for idx, tensor in enumerate(classes):
             lines.append(
-                f"  class {idx}: product graph [{format_matrix(product_graph(cls))}]"
-                f" multiplicity {class_multiplicity(cls)} tensor {cls.tensor}"
+                f"  class {idx}: product graph [{format_matrix(product_graph(tensor))}]"
+                f" multiplicity {class_multiplicity(tensor)} tensor {tensor}"
             )
     _emit(args, lines, payload)
     return EXIT_OK

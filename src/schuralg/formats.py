@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .basis import Matrix, SchurElement, check_matrix
-from .multiplication import EulerClass
+from .multiplication import Tensor
 from .partitions import Partition, check_partition
 
 
@@ -108,18 +108,18 @@ def matrix_to_dot(entries: Matrix, name: str = "bipartite") -> str:
     return _bipartite_dot(name, n, edges)
 
 
-def euler_class_to_dot(cls: EulerClass, name: str = "matching") -> str:
+def euler_class_to_dot(tensor: Tensor, name: str = "matching") -> str:
     """DOT rendering of a matching class as its composite two-step paths.
 
     One edge per nonzero tensor entry, from source j to destination k,
     labeled with the middle vertex and the path count.
     """
-    n = len(cls.tensor)
+    n = len(tensor)
     edges = [
         f'  s{j} -- d{k} [label="via {mid} x{count}"];'
         for j in range(1, n + 1)
         for k in range(1, n + 1)
         for mid in range(1, n + 1)
-        if (count := cls.tensor[k - 1][mid - 1][j - 1])
+        if (count := tensor[k - 1][mid - 1][j - 1])
     ]
     return _bipartite_dot(name, n, edges)

@@ -29,10 +29,9 @@ every basis pair at several sizes, with no per-case exceptions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .basis import (
@@ -43,20 +42,13 @@ from .basis import (
     row_sums,
 )
 
-
-@dataclass(frozen=True)
-class EulerClass:
-    """One equivalence class of edge matchings between two index matrices.
-
-    ``tensor[k][i][j]`` counts edges of type (dest i, src j) in the left
-    graph matched to edges of type (dest k, src i) in the right graph.
-    """
-
-    tensor: tuple[tuple[tuple[int, ...], ...], ...]
+# A matching class: tensor[k][i][j] counts edges of type (dest i, src j) in
+# the left graph matched to edges of type (dest k, src i) in the right graph.
+Tensor = tuple[Matrix, ...]
 
 
-def _multinomial(total: int, parts: Sequence[int]) -> int:
-    out, rem = 1, total
+def _multinomial(parts: Sequence[int]) -> int:
+    out, rem = 1, sum(parts)
     for p in parts:
         out *= comb(rem, p)
         rem -= p
@@ -92,61 +84,59 @@ def _contingency_tables(
             yield (row, *rest)
 
 
-def euler_classes(left: Matrix, right: Matrix) -> tuple[EulerClass, ...]:
-    """All matching-class tensors for the ordered pair (left, right).
-
-    Empty whenever the row sums of ``left`` differ from the column sums of
-    ``right`` (the shared middle vertices must carry equal edge counts).
-    The middle vertices decouple: the slice at middle vertex i is any
-    matrix with row sums right[.][i] and column sums left[i][.], so the
-    classes are a cartesian product of contingency tables.
-    """
-    n, d = check_matrix(left)
-    n2, d2 = check_matrix(right)
-    if (n, d) != (n2, d2):
-        raise ValueError(f"ambient mismatch: ({n},{d}) vs ({n2},{d2})")
+def _classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:
+    """Matching-class tensors of two indices already known to be valid and
+    of one ambient (n, d)."""
     if row_sums(left) != col_sums(right):
         return ()
     per_middle = [
         tuple(_contingency_tables(col, row)) for col, row in zip(zip(*right), left)
     ]
-    return tuple(
-        EulerClass(tensor=tuple(zip(*chosen)))
-        for chosen in itertools.product(*per_middle)
-    )
+    return tuple(tuple(zip(*chosen)) for chosen in itertools.product(*per_middle))
 
 
-def product_graph(cls: EulerClass) -> Matrix:
+def euler_classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:
+    """All matching-class tensors for the ordered pair (left, right).
+
+    Both matrices are validated and must share one ambient (n, d), else
+    ``ValueError``.  The result is empty whenever the row sums of ``left``
+    differ from the column sums of ``right`` (the shared middle vertices
+    must carry equal edge counts).  The middle vertices decouple: the
+    slice at middle vertex i is any matrix with row sums right[.][i] and
+    column sums left[i][.], so the classes are a cartesian product of
+    contingency tables.
+    """
+    n, d = check_matrix(left)
+    n2, d2 = check_matrix(right)
+    if (n, d) != (n2, d2):
+        raise ValueError(f"ambient mismatch: ({n},{d}) vs ({n2},{d2})")
+    return _classes(left, right)
+
+
+def product_graph(tensor: Tensor) -> Matrix:
     """Composite matrix of a matching class: entry (k, j) counts two-step
     paths from source j to destination k."""
-    n = len(cls.tensor)
-    return tuple(
-        tuple(sum(cls.tensor[k][i][j] for i in range(n)) for j in range(n))
-        for k in range(n)
-    )
+    return tuple(col_sums(layer) for layer in tensor)
 
 
-def class_multiplicity(cls: EulerClass) -> int:
+def class_multiplicity(tensor: Tensor) -> int:
     """Number of middle-vertex assignments realizing the class.
 
     Parallel edges of the composite graph are distinguishable by the middle
-    vertex of their path, so each composite cell contributes a multinomial.
+    vertex of their path, so each composite cell (k, j) contributes the
+    multinomial of its split over middle vertices, tensor[k][.][j].
     """
-    n = len(cls.tensor)
-    P = product_graph(cls)
-    weight = 1
-    for k in range(n):
-        for j in range(n):
-            weight *= _multinomial(P[k][j], [cls.tensor[k][i][j] for i in range(n)])
-    return weight
+    return prod(_multinomial(column) for layer in tensor for column in zip(*layer))
 
 
 @lru_cache(maxsize=None)
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
+    """Expansion of the product of two basis indices; both come from
+    ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated."""
     acc: dict[Matrix, int] = {}
-    for cls in euler_classes(left, right):
-        P = product_graph(cls)
-        acc[P] = acc.get(P, 0) + class_multiplicity(cls)
+    for tensor in _classes(left, right):
+        P = product_graph(tensor)
+        acc[P] = acc.get(P, 0) + class_multiplicity(tensor)
     return tuple(sorted(acc.items()))
 
 
@@ -203,7 +193,7 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
             for k, v in enumerate(counts):
                 rem_left[k][j] -= v
                 rem_right[i][k] -= v
-            rec(ci + 1, acc * _multinomial(target[i][j], counts))
+            rec(ci + 1, acc * _multinomial(counts))
             for k, v in enumerate(counts):
                 rem_left[k][j] += v
                 rem_right[i][k] += v

@@ -7,6 +7,7 @@ the same functions at pinned sizes.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb, factorial
@@ -41,6 +42,13 @@ from .partitions import (
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+# Sizes above which a check samples instead of running exhaustively, and
+# the seed it samples with.
+STRUCTURE_TRIPLES_LIMIT = 200_000
+SAMPLED_TRIPLES = 300
+MARGIN_PAIRS_LIMIT = 10_000
+SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -96,20 +104,16 @@ def check_oracle_equivalence(n: int, d: int, max_dim: int | None = None) -> Chec
     return _result("oracle-equivalence", True, f"{pairs} ordered pairs")
 
 
-def check_structure_constants(
-    n: int, d: int, exhaustive_limit: int = 200_000, sample: int = 300, seed: int = 0
-) -> CheckResult:
+def check_structure_constants(n: int, d: int) -> CheckResult:
     B = enumerate_basis(n, d)
     total = len(B) ** 3
-    if total <= exhaustive_limit:
-        triples = (
-            (Dx, Dy, Dt) for Dx in B for Dy in B for Dt in B
-        )
+    if total <= STRUCTURE_TRIPLES_LIMIT:
+        triples = itertools.product(B, repeat=3)
         scope = f"all {total} triples"
     else:
-        rng = random.Random(seed)
-        triples = ((rng.choice(B), rng.choice(B), rng.choice(B)) for _ in range(sample))
-        scope = f"{sample} sampled triples"
+        rng = random.Random(SAMPLE_SEED)
+        triples = ((rng.choice(B), rng.choice(B), rng.choice(B)) for _ in range(SAMPLED_TRIPLES))
+        scope = f"{SAMPLED_TRIPLES} sampled triples"
     for Dx, Dy, Dt in triples:
         table = dict(_basis_product(Dx, Dy))
         if structure_constant(Dx, Dy, Dt) != table.get(Dt, 0):
@@ -117,15 +121,15 @@ def check_structure_constants(
     return _result("structure-constants", True, scope)
 
 
-def check_content_margins(n: int, d: int, limit_pairs: int = 10_000, seed: int = 0) -> CheckResult:
+def check_content_margins(n: int, d: int) -> CheckResult:
     """Products inherit column sums from the left factor and row sums from
     the right factor."""
     B = enumerate_basis(n, d)
-    if len(B) ** 2 <= limit_pairs:
-        pairs = [(Dx, Dy) for Dx in B for Dy in B]
+    if len(B) ** 2 <= MARGIN_PAIRS_LIMIT:
+        pairs = list(itertools.product(B, repeat=2))
     else:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(B), rng.choice(B)) for _ in range(limit_pairs)]
+        rng = random.Random(SAMPLE_SEED)
+        pairs = [(rng.choice(B), rng.choice(B)) for _ in range(MARGIN_PAIRS_LIMIT)]
     for Dx, Dy in pairs:
         for P, _ in _basis_product(Dx, Dy):
             if col_sums(P) != col_sums(Dx) or row_sums(P) != row_sums(Dy):

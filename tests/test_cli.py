@@ -86,6 +86,16 @@ def test_multiply_lists_classes_only_when_shown(capsys, monkeypatch):
     assert "product = [1,0,0;1,0,1;1,0,1] + 2*[1,0,0;2,0,0;0,0,2]" in out
 
 
+def test_multiply_dot_does_not_compute_product(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("product computed but not printed")
+
+    monkeypatch.setattr("schuralg.cli.multiply", refuse)
+    code, out, _ = run_cli(capsys, "multiply", WORKED_LEFT, WORKED_RIGHT, "--output", "dot")
+    assert code == 0
+    assert out == (GOLDEN / "multiply_worked_pair.dot").read_text()
+
+
 def test_multiply_show_euler(capsys):
     code, out, _ = run_cli(
         capsys,

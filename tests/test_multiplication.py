@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from schuralg.basis import (
     SchurElement,
 )
 from schuralg.multiplication import (
+    _basis_product,
     _contingency_tables,
     class_multiplicity,
     compositions,
@@ -83,8 +85,7 @@ def test_euler_classes_worked_pair_multiplicities():
 def test_euler_classes_diagonal_forced():
     diag = ((2, 0), (0, 1))
     classes = euler_classes(diag, diag)
-    assert len(classes) == 1
-    tensor = classes[0].tensor
+    (tensor,) = classes
     n = 2
     mu = (2, 1)
     for k in range(n):
@@ -106,10 +107,10 @@ def test_euler_classes_margins():
         n = 3
         for i in range(n):
             for j in range(n):
-                assert sum(c.tensor[k][i][j] for k in range(n)) == LEFT[i][j]
+                assert sum(c[k][i][j] for k in range(n)) == LEFT[i][j]
         for k in range(n):
             for i in range(n):
-                assert sum(c.tensor[k][i][j] for j in range(n)) == RIGHT[k][i]
+                assert sum(c[k][i][j] for j in range(n)) == RIGHT[k][i]
 
 
 def test_euler_classes_ambient_mismatch():
@@ -117,6 +118,42 @@ def test_euler_classes_ambient_mismatch():
         euler_classes(((1, 0), (0, 0)), ((2, 0), (0, 0)))
     with pytest.raises(ValueError):
         euler_classes(((1, 0), (0, 0)), ((1,),))
+    with pytest.raises(ValueError):
+        euler_classes(((1.0, 0), (0, 0)), ((1, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        euler_classes(((1, 0), (0, 0)), ((True, 0), (0, 0)))
+
+
+def test_product_core_does_not_revalidate(monkeypatch):
+    # indices inside elements were validated when the elements were built;
+    # only the public euler_classes checks its matrices
+    def refuse(entries):
+        raise RuntimeError(f"check_matrix({entries!r}) inside the product core")
+
+    _basis_product.cache_clear()
+    monkeypatch.setattr("schuralg.multiplication.check_matrix", refuse)
+    x = SchurElement(2, 3, {((2, 0), (0, 1)): Fraction(1, 2), ((0, 0), (1, 2)): -3})
+    y = SchurElement(
+        2, 3, {((1, 1), (1, 0)): Fraction(-2, 3), ((0, 1), (2, 0)): 1, ((0, 0), (0, 3)): 5}
+    )
+    product = multiply(x, y)
+    assert not product.is_zero()
+    assert product == multiply_via_oracle(x, y)
+    with pytest.raises(RuntimeError):
+        euler_classes(((2, 0), (0, 1)), ((1, 1), (1, 0)))
+
+
+def test_basis_product_builds_each_composite_once(monkeypatch):
+    calls = []
+
+    def counted(tensor):
+        calls.append(tensor)
+        return product_graph(tensor)
+
+    _basis_product.cache_clear()
+    monkeypatch.setattr("schuralg.multiplication.product_graph", counted)
+    _basis_product(LEFT, RIGHT)
+    assert sorted(calls) == sorted(euler_classes(LEFT, RIGHT))
 
 
 def test_product_graph_entry_sums():
