@@ -6,6 +6,14 @@ index D is a permutation count: with (top, bottom) the canonical word pair
 of D, it is the number of permutations of the prescribed cycle type
 carrying bottom to top under the position action.
 
+Those permutations are counted without scanning S_d.  A permutation
+carries bottom to top exactly when it sends the positions of each letter
+a in top onto the positions of a in bottom, so the carriers are the
+prod_a c_a! bijections built letter by letter (c_a the multiplicity of a).
+One histogram of their cycle types per word pair serves every shape.
+``verification.check_action_convention`` keeps the full S_d scan as the
+independent route and compares it with ``class_coefficient``.
+
 The stored action convention is w . word = (word[w[1]-1], ..., word[w[d]-1]).
 Counting with w or with its inverse gives the same coefficients because
 cycle type is inversion invariant; the tests assert that equality instead
@@ -14,6 +22,8 @@ of assuming it.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -33,22 +43,39 @@ from .linalg import rational_rank
 from .multiplication import multiply
 from .partitions import (
     Partition,
+    _cycle_type,
     character,
     check_partition,
     partitions_of,
-    permutations_by_type,
-    permute_positions,
     tableaux_count,
 )
 
 
 @lru_cache(maxsize=None)
-def _pair_count(shape: Partition, top: tuple[int, ...], bottom: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for w in permutations_by_type(sum(shape)).get(shape, ())
-        if permute_positions(w, bottom) == top
-    )
+def _cycle_type_histogram(top: MultiIndex, bottom: MultiIndex) -> dict[Partition, int]:
+    """Cycle type -> number of permutations carrying ``bottom`` to ``top``.
+
+    ``top`` is a canonical top word, hence sorted: the positions of each
+    letter form one run, in letter order.  So a carrier in one-line
+    notation is, letter by letter, an arrangement of the positions of that
+    letter in ``bottom``.  Words of different content have no carrier.
+    """
+    if sorted(bottom) != list(top):
+        return {}
+    positions: dict[int, list[int]] = {}
+    for k, letter in enumerate(bottom, 1):
+        positions.setdefault(letter, []).append(k)
+    counts: Counter[Partition] = Counter()
+    for runs in itertools.product(
+        *(itertools.permutations(positions[a]) for a in sorted(positions))
+    ):
+        counts[_cycle_type([k for run in runs for k in run])] += 1
+    return dict(counts)
+
+
+@lru_cache(maxsize=None)
+def _pair_count(shape: Partition, top: MultiIndex, bottom: MultiIndex) -> int:
+    return _cycle_type_histogram(top, bottom).get(shape, 0)
 
 
 def class_coefficient(shape: Partition, entries: Matrix) -> int:
@@ -109,14 +136,12 @@ def primitive_idempotent(shape: Partition, n: int, d: int) -> SchurElement:
     shape = check_partition(shape)
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
-    f = tableaux_count(shape)
-    weights = {
-        mu: Fraction(f * ch, factorial(d))
-        for mu in partitions_of(d)
-        if (ch := character(shape, mu))
-    }
+    f, order = tableaux_count(shape), factorial(d)
+    chars = {mu: ch for mu in partitions_of(d) if (ch := character(shape, mu))}
     return SchurElement(n, d, {
-        D: sum(w * _pair_count(mu, top, bottom) for mu, w in weights.items())
+        D: Fraction(
+            f * sum(ch * _pair_count(mu, top, bottom) for mu, ch in chars.items()), order
+        )
         for D, top, bottom in _square_block(n, d)
     })
 

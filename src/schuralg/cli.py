@@ -51,7 +51,6 @@ from .verification import (
 MAX_N = 6
 MAX_D = 8
 MAX_ENUMERATION = 200_000
-CENTRE_DIM_FEASIBLE = 5_000
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -101,7 +100,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     size = basis_count(args.n, args.d)
     payload: dict = {"command": "dim", "n": args.n, "d": args.d, "basis_size": size}
     lines = [f"|M({args.n},{args.d})| = {size}"]
-    if size <= CENTRE_DIM_FEASIBLE:
+    if size <= MAX_ENUMERATION:
         dim = centre_dimension(args.n, args.d)
         payload["centre_dimension"] = dim
         lines.append(f"centre dimension = {dim}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Iterator, Sequence
 
 from .basis import (
@@ -140,21 +140,32 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
     return tuple(sorted(acc.items()))
 
 
+def _numerators(x: SchurElement) -> tuple[int, dict[Matrix, int]]:
+    """The lcm L of the coefficients' denominators, and each coefficient
+    times L, an int."""
+    scale = lcm(*(c.denominator for c in x.terms.values()))
+    return scale, {D: c.numerator * (scale // c.denominator) for D, c in x.terms.items()}
+
+
 def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Bilinear product; the left factor acts first on words.  Only term
     pairs with row_sums(Dx) == col_sums(Dy) can contribute, so only those
-    are visited."""
+    are visited.  Both factors are scaled to integer numerators, so the
+    sums are over ints and each output coefficient is divided once."""
     x._check_ambient(y)
-    by_col_sums: dict[tuple[int, ...], list[tuple[Matrix, Fraction]]] = {}
-    for Dy, cy in y.terms.items():
+    lx, nx = _numerators(x)
+    ly, ny = _numerators(y)
+    by_col_sums: dict[tuple[int, ...], list[tuple[Matrix, int]]] = {}
+    for Dy, cy in ny.items():
         by_col_sums.setdefault(col_sums(Dy), []).append((Dy, cy))
-    acc: dict[Matrix, Fraction] = {}
-    for Dx, cx in x.terms.items():
+    acc: dict[Matrix, int] = {}
+    for Dx, cx in nx.items():
         for Dy, cy in by_col_sums.get(row_sums(Dx), ()):
             cxy = cx * cy
             for P, mult in _basis_product(Dx, Dy):
-                acc[P] = acc.get(P, Fraction(0)) + cxy * mult
-    return SchurElement(x.n, x.d, acc)
+                acc[P] = acc.get(P, 0) + cxy * mult
+    scale = lx * ly
+    return SchurElement(x.n, x.d, {P: Fraction(total, scale) for P, total in acc.items()})
 
 
 def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:

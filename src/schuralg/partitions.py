@@ -18,6 +18,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial
+from typing import Sequence
 
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -68,7 +69,11 @@ def conjugate(shape: Partition) -> Partition:
 
 def cycle_type(w: Permutation) -> Partition:
     """Cycle lengths of w, weakly decreasing; fixed points contribute 1s."""
-    w = check_permutation(w)
+    return _cycle_type(check_permutation(w))
+
+
+def _cycle_type(w: Sequence[int]) -> Partition:
+    """``cycle_type`` of a one-line permutation already known to be valid."""
     d = len(w)
     seen = [False] * (d + 1)
     lens = []
@@ -108,7 +113,11 @@ def class_size(shape: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def permutations_by_type(d: int) -> dict[Partition, tuple[Permutation, ...]]:
-    """All of S_d grouped by cycle type.  Intended for d <= 8."""
+    """All of S_d grouped by cycle type.  Intended for d <= 8.
+
+    Serves only the independent checks and the tests: the centre counts
+    class-sum coefficients over bijections between two words instead of
+    scanning S_d."""
     groups: dict[Partition, list[Permutation]] = {}
     for w in itertools.permutations(range(1, d + 1)):
         groups.setdefault(cycle_type(w), []).append(w)

@@ -163,7 +163,9 @@ def check_row_sum_law(n: int, d: int) -> CheckResult:
 
 
 def check_action_convention(n: int, d: int) -> CheckResult:
-    """Counting with w or with w^{-1} yields the same class coefficients."""
+    """Counting with w or with w^{-1} yields the same class coefficients, and
+    a full scan of S_d agrees with ``class_coefficient``, which counts over
+    the bijections between the two words instead."""
     if d > 5:
         return CheckResult("action-convention", SKIP, "exhaustive only for d <= 5")
     by_type = permutations_by_type(d)

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+import schuralg.centre
+import schuralg.partitions
 from schuralg.basis import (
     SchurElement,
     basis_element,
@@ -11,8 +13,11 @@ from schuralg.basis import (
     identity_element,
     is_diagonal,
     matrix_from_pair,
+    weight_blocks,
 )
 from schuralg.centre import (
+    _cycle_type_histogram,
+    _pair_count,
     centre_basis_element,
     centre_dimension,
     class_coefficient,
@@ -25,6 +30,7 @@ from schuralg.partitions import (
     class_size,
     cycle_type,
     partitions_of,
+    permutations_by_type,
     permute_positions,
     tableaux_count,
 )
@@ -109,6 +115,44 @@ def test_class_coefficient_matches_raw_scan():
     for shape in partitions_of(4):
         for D in enumerate_basis(2, 4):
             assert class_coefficient(shape, D) == brute_class_coefficient(shape, D)
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 5), (2, 8)])
+def test_bijection_histogram_matches_full_scan(n, d):
+    # for every index of the square block, the histogram over the
+    # prod_a c_a! carriers agrees shape by shape with a scan of all of S_d
+    by_type = permutations_by_type(d)
+    for (rows, cols), members in weight_blocks(n, d).items():
+        if rows != cols:
+            continue
+        for _, top, bottom in members:
+            histogram = _cycle_type_histogram(top, bottom)
+            for shape, ws in by_type.items():
+                scanned = sum(1 for w in ws if permute_positions(w, bottom) == top)
+                assert histogram.get(shape, 0) == scanned == _pair_count(shape, top, bottom)
+            assert sum(histogram.values()) == prod(factorial(c) for c in rows)
+
+
+def test_centre_does_not_scan_the_symmetric_group(monkeypatch):
+    expected = (
+        centre_dimension(2, 5),
+        centre_basis_element((2, 1), 2, 3),
+        primitive_idempotent((2, 1), 3, 3),
+    )
+
+    def refuse(d):
+        raise AssertionError("the centre scanned S_d")
+
+    monkeypatch.setattr(schuralg.partitions, "permutations_by_type", refuse)
+    monkeypatch.setattr(schuralg.centre, "permutations_by_type", refuse, raising=False)
+    _pair_count.cache_clear()
+    _cycle_type_histogram.cache_clear()
+    assert expected[0] == 3
+    assert (
+        centre_dimension(2, 5),
+        centre_basis_element((2, 1), 2, 3),
+        primitive_idempotent((2, 1), 3, 3),
+    ) == expected
 
 
 def test_row_sum_law_small():

@@ -60,6 +60,13 @@ def test_dim_json_round_trip(capsys):
     assert payload["centre_dimension"] == 2
 
 
+def test_dim_reports_centre_within_enumeration_cap(capsys):
+    # 6435 matrices: the centre rank is computed up to the basis enumeration cap
+    code, out, _ = run_cli(capsys, "dim", "--n", "3", "--d", "7", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["centre_dimension"] == 8
+
+
 def test_basis_lists_every_matrix(capsys):
     code, out, _ = run_cli(capsys, "basis", "--n", "2", "--d", "2")
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from schuralg.basis import (
     row_sums,
     SchurElement,
 )
+from schuralg.centre import primitive_idempotent
 from schuralg.multiplication import (
     _basis_product,
     _contingency_tables,
@@ -193,6 +195,34 @@ def test_identity_neutral_on_random_sparse_elements():
         assert multiply(x, e) == x
         assert multiply(e, x) == x
         assert multiply_via_oracle(x, e) == x
+
+
+def _reduced(z):
+    return all(
+        type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        for c in z.terms.values()
+    )
+
+
+def test_integer_numerator_product():
+    # coprime denominators in two weight blocks of each factor
+    x = SchurElement(2, 3, {((0, 1), (1, 1)): Fraction(1, 7), ((1, 1), (1, 0)): Fraction(2, 9)})
+    y = SchurElement(2, 3, {
+        ((1, 0), (0, 2)): Fraction(-3, 11),
+        ((2, 0), (0, 1)): Fraction(1, 7),
+        ((0, 1), (2, 0)): Fraction(2, 9),
+    })
+    for a, b in ((x, y), (y, x)):
+        got = multiply(a, b)
+        assert not got.is_zero() and _reduced(got)
+        assert got == multiply_via_oracle(a, b)
+    # distinct primitive central idempotents: every coefficient cancels
+    e, f = primitive_idempotent((3,), 2, 3), primitive_idempotent((2, 1), 2, 3)
+    assert multiply(e, f).is_zero() and multiply(f, e).is_zero()
+    assert _reduced(multiply(e, e)) and multiply(e, e) == e
+    zero = SchurElement.zero(2, 3)
+    assert multiply(zero, y).is_zero() and multiply(y, zero).is_zero()
+    assert multiply(zero, zero).is_zero()
 
 
 def test_multiply_ambient_mismatch():
