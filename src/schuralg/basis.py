@@ -11,6 +11,10 @@ A basis element acts on the free module spanned by multi-indices
 (length-d words over {1, ..., n}): it sends a word j to the sum of all
 words i whose pairing with j realizes exactly the index matrix.
 
+The basis splits into weight blocks, one per (row sums, column sums) pair.
+Each block is built on demand from the words of one letter content: its
+members are the canonical word pairs whose top is the sorted word.
+
 Elements of the algebra are finitely supported rational combinations of
 basis indices, held in canonical sparse form (no zero coefficients).
 """
@@ -70,37 +74,48 @@ def basis_count(n: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def enumerate_basis(n: int, d: int) -> tuple[Matrix, ...]:
     """All index matrices for (n, d), in lexicographic order of the row-major
-    entry sequence."""
+    entry sequence: each is a multiset of d cells, and the sorted cell lists
+    come in increasing order, which is decreasing order of the counts."""
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
-    cells = n * n
-    out: list[Matrix] = []
-    flat = [0] * cells
+    out = []
+    for cells in itertools.combinations_with_replacement(range(n * n), d):
+        flat = [0] * (n * n)
+        for cell in cells:
+            flat[cell] += 1
+        out.append(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)))
+    return tuple(reversed(out))
 
-    def fill(pos: int, remaining: int) -> None:
-        if pos == cells - 1:
-            flat[pos] = remaining
-            out.append(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)))
-            flat[pos] = 0
-            return
-        for v in range(remaining + 1):
-            flat[pos] = v
-            fill(pos + 1, remaining - v)
-            flat[pos] = 0
 
-    fill(0, d)
-    return tuple(out)
+def words_of_content(mu: tuple[int, ...]) -> Iterator[MultiIndex]:
+    """The words in which letter a occurs mu[a-1] times, in lexicographic
+    order; the first is the sorted word."""
+    if not any(mu):
+        yield ()
+        return
+    for a, count in enumerate(mu):
+        if count:
+            rest = (*mu[:a], count - 1, *mu[a + 1:])
+            for tail in words_of_content(rest):
+                yield (a + 1, *tail)
 
 
 @lru_cache(maxsize=None)
-def weight_blocks(n: int, d: int) -> dict[tuple[MultiIndex, MultiIndex], list]:
-    """The basis by weight block: each (row sums, column sums) key maps to its
-    indices in ``enumerate_basis`` order, each as (D, top, bottom) with D's
-    canonical word pair.  Shared by every caller; do not mutate."""
-    blocks: dict = {}
-    for D in enumerate_basis(n, d):
-        blocks.setdefault((row_sums(D), col_sums(D)), []).append((D, *canonical_pair(D)))
-    return blocks
+def weight_block(
+    rows: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[tuple[Matrix, MultiIndex, MultiIndex], ...]:
+    """The index matrices with row sums ``rows`` and column sums ``cols``,
+    each as (D, top, bottom) with D's canonical word pair: ``top`` is the
+    sorted word of content ``rows``, and the bottoms are the words of content
+    ``cols`` nondecreasing along each run of equal letters in ``top``."""
+    top = next(words_of_content(rows))
+    runs = [k for k in range(1, len(top)) if top[k - 1] == top[k]]
+    n = len(rows)
+    return tuple(
+        (matrix_from_pair(top, bottom, n), top, bottom)
+        for bottom in words_of_content(cols)
+        if all(bottom[k - 1] <= bottom[k] for k in runs)
+    )
 
 
 def content(word: MultiIndex, n: int) -> tuple[int, ...]:
@@ -143,18 +158,6 @@ def canonical_pair(entries: Matrix) -> GeneralizedPermutation:
     )
 
 
-def _multiset_arrangements(letters: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct orderings of a multiset of letters, in lexicographic order."""
-    if not letters:
-        yield ()
-        return
-    for v in sorted(set(letters)):
-        rest = list(letters)
-        rest.remove(v)
-        for tail in _multiset_arrangements(rest):
-            yield (v, *tail)
-
-
 def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
     """Image of the word under the basis element: {output word: 1}.
 
@@ -170,12 +173,9 @@ def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
     if col_sums(entries) != word_content:
         return {}
     positions = [[k for k in range(d) if word[k] == b + 1] for b in range(n)]
-    column_letters = [
-        [a + 1 for a in range(n) for _ in range(entries[a][b])] for b in range(n)
-    ]
     out: dict[MultiIndex, int] = {}
     image = [0] * d
-    for arrangements in itertools.product(*map(_multiset_arrangements, column_letters)):
+    for arrangements in itertools.product(*map(words_of_content, zip(*entries))):
         for cells, arrangement in zip(positions, arrangements):
             for pos, letter in zip(cells, arrangement):
                 image[pos] = letter
@@ -290,6 +290,7 @@ def basis_element(entries: Matrix) -> SchurElement:
 
 
 def identity_element(n: int, d: int) -> SchurElement:
-    """Sum of the diagonal basis indices; the two-sided identity."""
-    terms = {D: 1 for D in enumerate_basis(n, d) if is_diagonal(D)}
-    return SchurElement(n, d, terms)
+    """Sum of the diagonal basis indices, one per sorted word; the two-sided
+    identity."""
+    words = itertools.combinations_with_replacement(range(1, n + 1), d)
+    return SchurElement(n, d, {matrix_from_pair(w, w, n): 1 for w in words})

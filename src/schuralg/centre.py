@@ -37,10 +37,10 @@ from .basis import (
     col_sums,
     enumerate_basis,
     row_sums,
-    weight_blocks,
+    weight_block,
 )
 from .linalg import rational_rank
-from .multiplication import multiply
+from .multiplication import compositions, multiply
 from .partitions import (
     Partition,
     _cycle_type,
@@ -98,12 +98,7 @@ def class_coefficient(shape: Partition, entries: Matrix) -> int:
 def _square_block(n: int, d: int) -> list[tuple[Matrix, MultiIndex, MultiIndex]]:
     """Every basis index whose row sums equal its column sums, with its
     canonical word pair; class sums vanish off this block."""
-    return [
-        member
-        for (rows, cols), members in weight_blocks(n, d).items()
-        if rows == cols
-        for member in members
-    ]
+    return [member for mu in compositions(d, (d,) * n) for member in weight_block(mu, mu)]
 
 
 def centre_basis_element(shape: Partition, n: int, d: int) -> SchurElement:

@@ -19,13 +19,18 @@ from .multiplication import Tensor
 from .partitions import Partition, check_partition
 
 
+def _parse_cells(text: str, kind: str) -> tuple[int, ...]:
+    """The comma-separated cells of a literal; each must be ASCII digits only,
+    so signs, underscores, spaces and non-ASCII digits are refused."""
+    cells = text.split(",")
+    for cell in cells:
+        if not (cell.isascii() and cell.isdigit()):
+            raise ValueError(f"malformed {kind} literal {text!r}: bad cell {cell!r}")
+    return tuple(map(int, cells))
+
+
 def parse_matrix(text: str) -> Matrix:
-    try:
-        rows = tuple(
-            tuple(int(cell) for cell in row.split(",")) for row in text.split(";")
-        )
-    except ValueError as exc:
-        raise ValueError(f"malformed matrix literal {text!r}: {exc}") from None
+    rows = tuple(_parse_cells(row, "matrix") for row in text.split(";"))
     check_matrix(rows)
     return rows
 
@@ -37,11 +42,7 @@ def format_matrix(entries: Matrix) -> str:
 def parse_partition(text: str) -> Partition:
     if text.strip() in ("", "0", "[]"):
         return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed partition literal {text!r}: {exc}") from None
-    return check_partition(parts)
+    return check_partition(_parse_cells(text, "partition"))
 
 
 def format_partition(shape: Partition) -> str:

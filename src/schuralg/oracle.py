@@ -4,11 +4,13 @@ An element of S(n,d) acts on the span of the n^d length-d words.  The basis
 operator of D maps the words of content col_sums(D) to words of content
 row_sums(D) and kills the rest (Green, Polynomial Representations of GL_n,
 LNM 830, sections 2-3), so each operator is built only on that weight
-block, rows and columns in lexicographic order.  Products compose blocks
-where the middle weights meet and read each basis index at its canonical
-word pair: distinct indices have disjoint 0/1 supports, so that one entry
-is its coefficient.  This cross-checks the combinatorial product by a
-completely different route.
+block, rows and columns the words of one content in lexicographic order.
+Weight spaces are enumerated per content, on demand; the n^d word list
+exists only for ``dense_operator``.  Products compose blocks where the
+middle weights meet and read each target index of ``basis.weight_block``
+at its canonical word pair: distinct indices have disjoint 0/1 supports,
+so that one entry is its coefficient.  This cross-checks the combinatorial
+product by a completely different route.
 
 A size guard (default n^d <= 10_000) protects against accidental
 exponential blowups; exceeding it raises TensorDimensionError.
@@ -28,10 +30,10 @@ from .basis import (
     SchurElement,
     apply_basis,
     col_sums,
-    content,
     enumerate_basis,
     row_sums,
-    weight_blocks,
+    weight_block,
+    words_of_content,
 )
 from .multiplication import _basis_product
 
@@ -59,25 +61,20 @@ def check_tensor_dimension(n: int, d: int, max_dim: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_spaces(n: int, d: int) -> dict[tuple[int, ...], dict[MultiIndex, int]]:
-    """Each letter content's words, mapped to their lexicographic positions."""
-    spaces: dict = {}
-    for word in all_words(n, d):
-        space = spaces.setdefault(content(word, n), {})
-        space[word] = len(space)
-    return spaces
+def _weight_space(mu: tuple[int, ...]) -> dict[MultiIndex, int]:
+    """The words of content ``mu``, mapped to their lexicographic positions."""
+    return {word: k for k, word in enumerate(words_of_content(mu))}
 
 
-def _operator_blocks(terms: dict[Matrix, Scalar], n: int, d: int) -> dict:
+def _operator_blocks(terms: dict[Matrix, Scalar]) -> dict:
     """The operator of sum c * xi_D, one matrix per (row sums, column sums)
     block: each term is 0/1 on its block times c, int64 for an ``int`` c and
     exact object dtype otherwise.  An image outside the block raises
     KeyError instead of being dropped."""
-    spaces = _weight_spaces(n, d)
     blocks: dict = {}
     for D, coeff in terms.items():
         key = (row_sums(D), col_sums(D))
-        rows, cols = spaces[key[0]], spaces[key[1]]
+        rows, cols = map(_weight_space, key)
         block = np.zeros((len(rows), len(cols)), np.int64 if type(coeff) is int else object)
         for col, word in enumerate(cols):
             for image in apply_basis(D, word):
@@ -86,7 +83,7 @@ def _operator_blocks(terms: dict[Matrix, Scalar], n: int, d: int) -> dict:
     return blocks
 
 
-def _compose(first: dict, then: dict, n: int, d: int) -> dict[Matrix, Scalar]:
+def _compose(first: dict, then: dict) -> dict[Matrix, Scalar]:
     """Expansion of the operator ``then`` after ``first``: blocks compose only
     where the middle weights meet, and each target index is read at its
     canonical cell."""
@@ -95,10 +92,10 @@ def _compose(first: dict, then: dict, n: int, d: int) -> dict[Matrix, Scalar]:
         for (target, inner), b in then.items():
             if inner == middle:
                 composite[target, source] = composite.get((target, source), 0) + b @ a
-    spaces, expansion = _weight_spaces(n, d), {}
+    expansion = {}
     for (target, source), M in composite.items():
-        rows, cols = spaces[target], spaces[source]
-        for P, top, bottom in weight_blocks(n, d)[target, source]:
+        rows, cols = _weight_space(target), _weight_space(source)
+        for P, top, bottom in weight_block(target, source):
             if coeff := M[rows[top], cols[bottom]]:
                 expansion[P] = coeff
     return expansion
@@ -112,10 +109,10 @@ def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
     """
     dim = check_tensor_dimension(x.n, x.d, max_dim)
     pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
-    spaces = _weight_spaces(x.n, x.d)
     M = np.zeros((dim, dim), dtype=object)
-    for (target, source), block in _operator_blocks(x.terms, x.n, x.d).items():
-        M[np.ix_([pos[w] for w in spaces[target]], [pos[w] for w in spaces[source]])] = block
+    for (target, source), block in _operator_blocks(x.terms).items():
+        M[np.ix_([pos[w] for w in _weight_space(target)],
+                 [pos[w] for w in _weight_space(source)])] = block
     return M
 
 
@@ -130,8 +127,8 @@ def multiply_via_oracle(
     """
     x._check_ambient(y)
     check_tensor_dimension(x.n, x.d, max_dim)
-    blocks = [_operator_blocks(z.terms, x.n, x.d) for z in (x, y)]
-    return SchurElement(x.n, x.d, _compose(*blocks, x.n, x.d))
+    first, then = _operator_blocks(x.terms), _operator_blocks(y.terms)
+    return SchurElement(x.n, x.d, _compose(first, then))
 
 
 def find_product_mismatch(
@@ -145,9 +142,9 @@ def find_product_mismatch(
     entry is at most n^d <= guard, so the integer arithmetic is exact.
     """
     check_tensor_dimension(n, d, max_dim)
-    B = [(D, _operator_blocks({D: 1}, n, d)) for D in enumerate_basis(n, d)]
+    B = [(D, _operator_blocks({D: 1})) for D in enumerate_basis(n, d)]
     for Dx, x_blocks in B:
         for Dy, y_blocks in B:
-            if _compose(x_blocks, y_blocks, n, d) != dict(_basis_product(Dx, Dy)):
+            if _compose(x_blocks, y_blocks) != dict(_basis_product(Dx, Dy)):
                 return Dx, Dy
     return None

@@ -17,8 +17,11 @@ from schuralg.basis import (
     is_diagonal,
     matrix_from_pair,
     row_sums,
+    weight_block,
+    words_of_content,
 )
-from schuralg.multiplication import multiply
+from schuralg.multiplication import compositions, multiply
+from schuralg.oracle import all_words
 from schuralg.partitions import permute_positions
 
 
@@ -71,6 +74,14 @@ def test_enumerate_basis_lexicographic():
         assert flat == sorted(flat)
 
 
+def test_enumerate_basis_strictly_increasing_everywhere_small():
+    for n in range(1, 4):
+        for d in range(6):
+            flat = [tuple(v for row in D for v in row) for D in enumerate_basis(n, d)]
+            assert all(a < b for a, b in zip(flat, flat[1:]))
+            assert len(flat) == basis_count(n, d)
+
+
 def test_enumerate_basis_contains_expansion_matrices():
     # the distinct matrices of the documented (2,4) class-sum expansions
     needed = [
@@ -81,6 +92,32 @@ def test_enumerate_basis_contains_expansion_matrices():
     B = set(enumerate_basis(2, 4))
     for D in needed:
         assert D in B
+
+
+# ------------------------------------------------- words and weight blocks
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 0), (2, 4), (3, 3)])
+def test_words_of_content_partition_the_word_space(n, d):
+    seen = []
+    for mu in compositions(d, (d,) * n):
+        words = list(words_of_content(mu))
+        assert words == sorted(set(words))
+        assert all(content(w, n) == mu for w in words)
+        seen += words
+    assert sorted(seen) == list(all_words(n, d))
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 0), (2, 4), (3, 3)])
+def test_weight_blocks_partition_the_basis(n, d):
+    seen = []
+    weights = list(compositions(d, (d,) * n))
+    for rows in weights:
+        for cols in weights:
+            for D, top, bottom in weight_block(rows, cols):
+                assert (row_sums(D), col_sums(D)) == (rows, cols)
+                assert (top, bottom) == canonical_pair(D)
+                seen.append(D)
+    assert sorted(seen) == list(enumerate_basis(n, d))
 
 
 # --------------------------------------------------------- pairs <-> matrices

@@ -4,8 +4,11 @@ from math import factorial, prod
 
 import pytest
 
+import schuralg.basis
 import schuralg.centre
+import schuralg.cli
 import schuralg.partitions
+from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
     basis_element,
@@ -13,7 +16,7 @@ from schuralg.basis import (
     identity_element,
     is_diagonal,
     matrix_from_pair,
-    weight_blocks,
+    weight_block,
 )
 from schuralg.centre import (
     _cycle_type_histogram,
@@ -24,7 +27,7 @@ from schuralg.centre import (
     is_central,
     primitive_idempotent,
 )
-from schuralg.multiplication import multiply
+from schuralg.multiplication import compositions, multiply
 from schuralg.partitions import (
     character,
     class_size,
@@ -122,10 +125,8 @@ def test_bijection_histogram_matches_full_scan(n, d):
     # for every index of the square block, the histogram over the
     # prod_a c_a! carriers agrees shape by shape with a scan of all of S_d
     by_type = permutations_by_type(d)
-    for (rows, cols), members in weight_blocks(n, d).items():
-        if rows != cols:
-            continue
-        for _, top, bottom in members:
+    for rows in compositions(d, (d,) * n):
+        for _, top, bottom in weight_block(rows, rows):
             histogram = _cycle_type_histogram(top, bottom)
             for shape, ws in by_type.items():
                 scanned = sum(1 for w in ws if permute_positions(w, bottom) == top)
@@ -152,6 +153,37 @@ def test_centre_does_not_scan_the_symmetric_group(monkeypatch):
         centre_dimension(2, 5),
         centre_basis_element((2, 1), 2, 3),
         primitive_idempotent((2, 1), 3, 3),
+    ) == expected
+
+
+def test_centre_paths_never_enumerate_the_basis(monkeypatch, capsys):
+    # the centre, the idempotents and the identity read their weight blocks
+    # only; the whole basis is enumerated by nothing on these paths
+    argv = ["idempotents", "--n", "3", "--d", "4", "--output", "json"]
+    assert schuralg.cli.main(argv) == 0
+    expected = (
+        centre_dimension(3, 5),
+        centre_basis_element((2, 1), 2, 3),
+        primitive_idempotent((2, 1), 3, 3),
+        identity_element(3, 4),
+        capsys.readouterr().out,
+    )
+
+    def refuse(n, d):
+        raise AssertionError("the whole basis was enumerated")
+
+    for module in (schuralg.basis, schuralg.centre, schuralg.cli):
+        monkeypatch.setattr(module, "enumerate_basis", refuse)
+    weight_block.cache_clear()
+    oracle._weight_space.cache_clear()
+    assert expected[0] == 5
+    assert schuralg.cli.main(argv) == 0
+    assert (
+        centre_dimension(3, 5),
+        centre_basis_element((2, 1), 2, 3),
+        primitive_idempotent((2, 1), 3, 3),
+        identity_element(3, 4),
+        capsys.readouterr().out,
     ) == expected
 
 

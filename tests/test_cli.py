@@ -34,6 +34,11 @@ def run_cli(capsys, *argv):
          ("multiply", WORKED_LEFT, WORKED_RIGHT, "--show-euler")),
         ("multiply_worked_pair_euler.json",
          ("multiply", WORKED_LEFT, WORKED_RIGHT, "--show-euler", "--output", "json")),
+        ("centre_n3_d3.json", ("centre", "--n", "3", "--d", "3", "--output", "json")),
+        ("idempotents_n3_d3.json",
+         ("idempotents", "--n", "3", "--d", "3", "--output", "json")),
+        ("basis_n2_d3.json", ("basis", "--n", "2", "--d", "3", "--output", "json")),
+        ("verify_n2_d3.json", ("verify", "--n", "2", "--d", "3", "--output", "json")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):
@@ -247,6 +252,19 @@ def test_usage_error_on_malformed_matrix(capsys):
     code, _, err = run_cli(capsys, "multiply", "2,0;oops", "1,0;0,1")
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("graph", "\u0663,0;0,0"), ("multiply", "1_0,0;0,0", "1,0;0,1"),
+     ("centre", "--n", "2", "--d", "2", "--shape", "+2")],
+    ids=["graph-arabic-indic-digit", "multiply-underscore", "centre-plus-sign"],
+)
+def test_usage_error_on_non_ascii_digit_literal(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
 
 
 def test_usage_error_on_mismatched_operands(capsys):

@@ -35,6 +35,14 @@ def test_parse_matrix_rejects_garbage():
         parse_matrix("1,-2;0,0")
 
 
+@pytest.mark.parametrize("cell", ["1_0", "+1", "\u0663", "-2"])
+def test_literals_accept_ascii_digits_only(cell):
+    with pytest.raises(ValueError):
+        parse_matrix(f"{cell},0;0,0")
+    with pytest.raises(ValueError):
+        parse_partition(f"{cell},1")
+
+
 def test_partition_literal_round_trip():
     assert parse_partition("3,1") == (3, 1)
     assert format_partition((3, 1)) == "[3,1]"

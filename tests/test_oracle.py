@@ -14,9 +14,9 @@ from schuralg.basis import (
     identity_element,
     matrix_from_pair,
     row_sums,
-    weight_blocks,
+    weight_block,
 )
-from schuralg.multiplication import multiply
+from schuralg.multiplication import compositions, multiply
 from schuralg.oracle import (
     TensorDimensionError,
     all_words,
@@ -105,7 +105,10 @@ def test_composite_operator_fully_explained():
     # elements whose terms span at least two weight blocks
     rng = random.Random(31)
     for (n, d) in [(2, 3), (3, 2)]:
-        blocks = list(weight_blocks(n, d).values())
+        weights = list(compositions(d, (d,) * n))
+        blocks = [
+            block for rows in weights for cols in weights if (block := weight_block(rows, cols))
+        ]
         for _ in range(5):
             x, y = (
                 SchurElement(n, d, {
