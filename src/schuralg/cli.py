@@ -8,9 +8,10 @@ command accepts only the options it reads.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
 
-Resource guards (defaults): n <= 6, d <= 8; word space n^d <= 10_000 for
-verify's oracle-backed checks (override with verify --max-tensor-dim);
-basis enumeration capped at 200_000 matrices.
+Resource guards: n <= 6, d <= 8; word space n^d <= 10_000 for verify's
+oracle check, which SKIPs above it; basis, centre, idempotents and verify
+refuse above 200_000 basis matrices, while dim answers every size inside
+the n, d guards.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .multiplication import (
     multiply,
     product_graph,
 )
-from .oracle import DEFAULT_MAX_TENSOR_DIM, TensorDimensionError
+from .oracle import TensorDimensionError
 from .partitions import class_size, character, partitions_of
 from .verification import (
     FAIL,
@@ -98,16 +99,10 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
 def _cmd_dim(args: argparse.Namespace) -> int:
     _guard_ambient(args.n, args.d)
     size = basis_count(args.n, args.d)
-    payload: dict = {"command": "dim", "n": args.n, "d": args.d, "basis_size": size}
-    lines = [f"|M({args.n},{args.d})| = {size}"]
-    if size <= MAX_ENUMERATION:
-        dim = centre_dimension(args.n, args.d)
-        payload["centre_dimension"] = dim
-        lines.append(f"centre dimension = {dim}")
-    else:
-        payload["centre_dimension"] = None
-        lines.append("centre dimension = (skipped: basis too large)")
-    _emit(args, lines, payload)
+    dim = centre_dimension(args.n, args.d)
+    payload = {"command": "dim", "n": args.n, "d": args.d, "basis_size": size,
+               "centre_dimension": dim}
+    _emit(args, [f"|M({args.n},{args.d})| = {size}", f"centre dimension = {dim}"], payload)
     return EXIT_OK
 
 
@@ -256,9 +251,7 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _guard_ambient(args.n, args.d)
     _guard_enumeration(args.n, args.d)
-    if args.max_tensor_dim <= 0:
-        raise ValueError(f"--max-tensor-dim must be positive, got {args.max_tensor_dim}")
-    results = run_suite(args.n, args.d, args.max_tensor_dim)
+    results = run_suite(args.n, args.d)
     lines = [
         f"{r.status.upper():5} {r.name}" + (f" ({r.detail})" if r.detail else "")
         for r in results
@@ -334,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite at (n, d)")
     add_common(p)
-    p.add_argument("--max-tensor-dim", type=int, default=DEFAULT_MAX_TENSOR_DIM,
-                   help="override the oracle word-space guard")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="DOT rendering of an index matrix")

@@ -6,14 +6,16 @@ row_sums(D) and kills the rest (Green, Polynomial Representations of GL_n,
 LNM 830, sections 2-3), so each operator is built only on that weight
 block, rows and columns the words of one content in lexicographic order.
 Weight spaces are enumerated per content, on demand; the n^d word list
-exists only for ``dense_operator``.  Products compose blocks where the
-middle weights meet and read each target index of ``basis.weight_block``
-at its canonical word pair: distinct indices have disjoint 0/1 supports,
-so that one entry is its coefficient.  This cross-checks the combinatorial
-product by a completely different route.
+``all_words`` serves only ``dense_operator`` and the tops of the row-sum
+law.  Products compose blocks where the middle weights meet and read each
+target index of ``basis.weight_block`` at its canonical word pair:
+distinct indices have disjoint 0/1 supports, so that one entry is its
+coefficient.  This cross-checks the combinatorial product by a completely
+different route.
 
-A size guard (default n^d <= 10_000) protects against accidental
-exponential blowups; exceeding it raises TensorDimensionError.
+One size guard, n^d <= DEFAULT_MAX_TENSOR_DIM (10_000), read at call
+time, protects against accidental exponential blowups; exceeding it raises
+TensorDimensionError.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ def all_words(n: int, d: int) -> tuple[MultiIndex, ...]:
     return tuple(itertools.product(range(1, n + 1), repeat=d))
 
 
-def check_tensor_dimension(n: int, d: int, max_dim: int | None = None) -> int:
-    limit = DEFAULT_MAX_TENSOR_DIM if max_dim is None else max_dim
+def check_tensor_dimension(n: int, d: int) -> int:
     dim = n**d
-    if dim > limit:
+    if dim > DEFAULT_MAX_TENSOR_DIM:
         raise TensorDimensionError(
-            f"word space dimension {n}^{d} = {dim} exceeds guard {limit}"
+            f"word space dimension {n}^{d} = {dim} exceeds guard {DEFAULT_MAX_TENSOR_DIM}"
         )
     return dim
 
@@ -101,13 +102,13 @@ def _compose(first: dict, then: dict) -> dict[Matrix, Scalar]:
     return expansion
 
 
-def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
+def dense_operator(x: SchurElement) -> np.ndarray:
     """The n^d x n^d matrix of the element, exact rationals, dtype=object.
 
     Rows are output words, columns input words, both in lexicographic
     order.
     """
-    dim = check_tensor_dimension(x.n, x.d, max_dim)
+    dim = check_tensor_dimension(x.n, x.d)
     pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
     M = np.zeros((dim, dim), dtype=object)
     for (target, source), block in _operator_blocks(x.terms).items():
@@ -116,9 +117,7 @@ def dense_operator(x: SchurElement, max_dim: int | None = None) -> np.ndarray:
     return M
 
 
-def multiply_via_oracle(
-    x: SchurElement, y: SchurElement, max_dim: int | None = None
-) -> SchurElement:
+def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
     """Product computed as operator composition, block by block.
 
     In x * y the left factor acts first on words, so the composite is the
@@ -126,14 +125,12 @@ def multiply_via_oracle(
     ``multiply``.
     """
     x._check_ambient(y)
-    check_tensor_dimension(x.n, x.d, max_dim)
+    check_tensor_dimension(x.n, x.d)
     first, then = _operator_blocks(x.terms), _operator_blocks(y.terms)
     return SchurElement(x.n, x.d, _compose(first, then))
 
 
-def find_product_mismatch(
-    n: int, d: int, max_dim: int | None = None
-) -> tuple[Matrix, Matrix] | None:
+def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     """Compare the combinatorial product against operator composition for
     every ordered basis pair; return the first mismatching pair, or None.
 
@@ -141,7 +138,7 @@ def find_product_mismatch(
     must be empty too.  Basis blocks are 0/1 and int64: every composite
     entry is at most n^d <= guard, so the integer arithmetic is exact.
     """
-    check_tensor_dimension(n, d, max_dim)
+    check_tensor_dimension(n, d)
     B = [(D, _operator_blocks({D: 1})) for D in enumerate_basis(n, d)]
     for Dx, x_blocks in B:
         for Dy, y_blocks in B:

@@ -93,9 +93,9 @@ def check_identity_neutral(n: int, d: int) -> CheckResult:
     return _result("identity-neutral", True)
 
 
-def check_oracle_equivalence(n: int, d: int, max_dim: int | None = None) -> CheckResult:
+def check_oracle_equivalence(n: int, d: int) -> CheckResult:
     try:
-        mismatch = find_product_mismatch(n, d, max_dim)
+        mismatch = find_product_mismatch(n, d)
     except TensorDimensionError as exc:
         return CheckResult("oracle-equivalence", SKIP, str(exc))
     if mismatch is not None:
@@ -146,14 +146,21 @@ def check_centrality(n: int, d: int) -> CheckResult:
 
 def check_row_sum_law(n: int, d: int) -> CheckResult:
     """Summing class coefficients over all output words of a fixed input word
-    recovers the class size: each class member contributes exactly one word."""
-    words = all_words(n, d)
+    recovers the class size: each class member contributes exactly one word.
+
+    One input word per letter content suffices.  A position permutation pi
+    sends the pair (t, b) to (pi.t, pi.b) with the same index matrix, so the
+    matrices over all tops t are the same multiset for b and for pi.b.  The
+    sorted words come in lexicographic order and each is the first word of
+    its content, so the first failure is the one a scan of every word finds.
+    """
+    tops = all_words(n, d)
     for shape in partitions_of(d):
         expected = class_size(shape)
-        for bottom in words:
+        for bottom in itertools.combinations_with_replacement(range(1, n + 1), d):
             got = sum(
                 class_coefficient(shape, matrix_from_pair(top, bottom, n))
-                for top in words
+                for top in tops
             )
             if got != expected:
                 return _result(
@@ -249,13 +256,13 @@ def check_associativity(n: int, d: int, count: int = 50, seed: int = 0) -> Check
     return _result("associativity", True, f"{count} random triples")
 
 
-def run_suite(n: int, d: int, max_tensor_dim: int | None = None) -> list[CheckResult]:
+def run_suite(n: int, d: int) -> list[CheckResult]:
     """Every check that applies at (n, d), in a fixed order."""
     results = [
         check_dimension_law(n, d),
         check_pair_roundtrip(n, d),
         check_identity_neutral(n, d),
-        check_oracle_equivalence(n, d, max_tensor_dim),
+        check_oracle_equivalence(n, d),
         check_structure_constants(n, d),
         check_content_margins(n, d),
         check_centrality(n, d),

@@ -39,6 +39,7 @@ from schuralg.partitions import (
 )
 from schuralg.verification import (
     check_action_convention,
+    check_row_sum_law,
     first_non_idempotent,
     first_non_orthogonal_pair,
     sums_to_identity,
@@ -197,6 +198,19 @@ def test_row_sum_law_small():
                 for top in words
             )
             assert total == class_size(shape)
+
+
+def test_row_sum_law_catches_a_wrong_coefficient(monkeypatch):
+    # one bottom word per content is visited, and the failure is reported at
+    # the word a scan of every word meets first
+    def off_by_one(shape, M):
+        wrong = shape == (2, 1) and M == ((1, 1), (0, 1))
+        return class_coefficient(shape, M) + wrong
+
+    monkeypatch.setattr("schuralg.verification.class_coefficient", off_by_one)
+    result = check_row_sum_law(2, 3)
+    assert result.status == "fail"
+    assert result.detail == "shape (2, 1), word (1, 2, 2): 5"
 
 
 def test_action_convention_equivalence():

@@ -39,6 +39,8 @@ def run_cli(capsys, *argv):
          ("idempotents", "--n", "3", "--d", "3", "--output", "json")),
         ("basis_n2_d3.json", ("basis", "--n", "2", "--d", "3", "--output", "json")),
         ("verify_n2_d3.json", ("verify", "--n", "2", "--d", "3", "--output", "json")),
+        ("verify_n2_d6.json", ("verify", "--n", "2", "--d", "6", "--output", "json")),
+        ("dim_n3_d4.json", ("dim", "--n", "3", "--d", "4", "--output", "json")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):
@@ -66,10 +68,22 @@ def test_dim_json_round_trip(capsys):
 
 
 def test_dim_reports_centre_within_enumeration_cap(capsys):
-    # 6435 matrices: the centre rank is computed up to the basis enumeration cap
+    # 6435 matrices: the centre rank reads only the square weight blocks
     code, out, _ = run_cli(capsys, "dim", "--n", "3", "--d", "7", "--output", "json")
     assert code == 0
     assert json.loads(out)["centre_dimension"] == 8
+
+
+def test_dim_reports_centre_above_enumeration_cap(capsys):
+    # 593775 matrices, over the cap that centre and idempotents keep
+    code, out, _ = run_cli(capsys, "dim", "--n", "5", "--d", "6", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["basis_size"], payload["centre_dimension"]) == (593775, 10)
+    code, out, _ = run_cli(capsys, "dim", "--n", "5", "--d", "6")
+    assert code == 0
+    assert out.splitlines() == ["|M(5,6)| = 593775", "centre dimension = 10"]
+    assert "skipped" not in out
 
 
 def test_basis_lists_every_matrix(capsys):
@@ -215,30 +229,19 @@ def test_verify_passes(capsys):
     assert "PASS  oracle-equivalence" in out
 
 
-def test_verify_skips_oracle_when_guarded(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--n", "2", "--d", "3", "--max-tensor-dim", "4"
-    )
+def test_verify_skips_oracle_when_guarded(capsys, monkeypatch):
+    monkeypatch.setattr("schuralg.oracle.DEFAULT_MAX_TENSOR_DIM", 4)
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--d", "3")
     assert code == 0
     assert "SKIP  oracle-equivalence" in out
 
 
 def test_verify_ignores_guard_env(capsys, monkeypatch):
-    # --max-tensor-dim is the guard's only source; the environment is not read
+    # DEFAULT_MAX_TENSOR_DIM is the guard's only source; the environment is not read
     monkeypatch.setenv("SCHUR_MAX_TENSOR_DIM", "4")
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--d", "3")
     assert code == 0
     assert "PASS  oracle-equivalence" in out
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_verify_rejects_nonpositive_guard_flag(capsys, value):
-    code, out, err = run_cli(
-        capsys, "verify", "--n", "2", "--d", "3", "--max-tensor-dim", value
-    )
-    assert code == 2
-    assert out == ""
-    assert "usage error" in err
 
 
 def test_graph_renders_dot(capsys):
@@ -293,10 +296,11 @@ def test_invalid_size_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [("dim", "--n", "2", "--d", "2", "--max-tensor-dim", "-5"),
-     ("idempotents", "--n", "2", "--d", "2", "--max-tensor-dim", "100")]
+     ("idempotents", "--n", "2", "--d", "2", "--max-tensor-dim", "100"),
+     ("verify", "--n", "2", "--d", "2", "--max-tensor-dim", "4")]
     + [(cmd, "--n", "2", "--d", "2", "--output", "dot")
        for cmd in ("dim", "basis", "centre", "idempotents", "verify")],
-    ids=["dim-max-tensor-dim", "idempotents-max-tensor-dim"]
+    ids=["dim-max-tensor-dim", "idempotents-max-tensor-dim", "verify-max-tensor-dim"]
     + [f"{cmd}-dot" for cmd in ("dim", "basis", "centre", "idempotents", "verify")],
 )
 def test_option_not_read_by_command_is_refused(capsys, argv):

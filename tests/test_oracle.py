@@ -172,13 +172,16 @@ def test_guard_rejects_large_word_space():
         multiply_via_oracle(x, x)  # 10^5 words > default guard
 
 
-def test_guard_override():
+def test_guard_override(monkeypatch):
+    # the guard is read at call time, so lowering the constant tightens it
     x = basis_element(((2, 0), (0, 0)))
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_TENSOR_DIM", 3)
     with pytest.raises(TensorDimensionError):
-        dense_operator(x, max_dim=3)
-    assert find_product_mismatch(2, 2, max_dim=4) is None
+        dense_operator(x)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_TENSOR_DIM", 4)
+    assert find_product_mismatch(2, 2) is None
     with pytest.raises(TensorDimensionError):
-        find_product_mismatch(2, 3, max_dim=4)
+        find_product_mismatch(2, 3)
 
 
 def test_all_words_lexicographic():
