@@ -62,10 +62,6 @@ def col_sums(entries: Matrix) -> tuple[int, ...]:
     return tuple(map(sum, zip(*entries)))
 
 
-def is_diagonal(entries: Matrix) -> bool:
-    return all(v == 0 for a, row in enumerate(entries) for b, v in enumerate(row) if a != b)
-
-
 def basis_count(n: int, d: int) -> int:
     """|M(n,d)| = C(n^2 + d - 1, d), computed without enumeration."""
     return comb(n * n + d - 1, d)
@@ -215,6 +211,14 @@ class SchurElement:
             if coeff:
                 clean[key] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, d: int, terms: dict[Matrix, Fraction]) -> SchurElement:
+        """An element whose keys are known to lie in M(n, d) and whose
+        coefficients are nonzero Fractions; nothing is re-validated."""
+        element = object.__new__(cls)
+        element.n, element.d, element.terms = n, d, terms
+        return element
 
     @classmethod
     def zero(cls, n: int, d: int) -> SchurElement:

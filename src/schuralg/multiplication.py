@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
+from operator import add
 from typing import Iterator, Sequence
 
 from .basis import (
@@ -84,17 +85,6 @@ def _contingency_tables(
             yield (row, *rest)
 
 
-def _classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:
-    """Matching-class tensors of two indices already known to be valid and
-    of one ambient (n, d)."""
-    if row_sums(left) != col_sums(right):
-        return ()
-    per_middle = [
-        tuple(_contingency_tables(col, row)) for col, row in zip(zip(*right), left)
-    ]
-    return tuple(tuple(zip(*chosen)) for chosen in itertools.product(*per_middle))
-
-
 def euler_classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:
     """All matching-class tensors for the ordered pair (left, right).
 
@@ -110,7 +100,12 @@ def euler_classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:
     n2, d2 = check_matrix(right)
     if (n, d) != (n2, d2):
         raise ValueError(f"ambient mismatch: ({n},{d}) vs ({n2},{d2})")
-    return _classes(left, right)
+    if row_sums(left) != col_sums(right):
+        return ()
+    per_middle = [
+        tuple(_contingency_tables(col, row)) for col, row in zip(zip(*right), left)
+    ]
+    return tuple(tuple(zip(*chosen)) for chosen in itertools.product(*per_middle))
 
 
 def product_graph(tensor: Tensor) -> Matrix:
@@ -129,15 +124,49 @@ def class_multiplicity(tensor: Tensor) -> int:
     return prod(_multinomial(column) for layer in tensor for column in zip(*layer))
 
 
+@lru_cache(maxsize=4096)
+def _margin_tables(
+    rsums: tuple[int, ...], csums: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each table with the given row and column sums, flattened row-major,
+    with its weight: the product over columns j of multinomial(csums[j];
+    column j)."""
+    return tuple(
+        (sum(T, ()), prod(_multinomial(column) for column in zip(*T)))
+        for T in _contingency_tables(rsums, csums)
+    )
+
+
 @lru_cache(maxsize=None)
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """Expansion of the product of two basis indices; both come from
-    ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated."""
-    acc: dict[Matrix, int] = {}
-    for tensor in _classes(left, right):
-        P = product_graph(tensor)
-        acc[P] = acc.get(P, 0) + class_multiplicity(tensor)
-    return tuple(sorted(acc.items()))
+    ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated.
+
+    Convolution over the middle vertices: the class multiplicity is
+    P!/prod(a!) and prod_i w_i(T_i) = x!/prod(a!), so c_P = (P!/x!) times
+    the sum, over middle slices T_i with T_1 + ... + T_n = P, of
+    prod_i w_i(T_i), with x = left and w_i the weight from ``_margin_tables``.
+    """
+    if row_sums(left) != col_sums(right):
+        return ()
+    n = len(left)
+    partial: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
+    for col, row in zip(zip(*right), left):
+        if not any(row):
+            continue  # no edge passes through this middle vertex
+        tables = _margin_tables(col, row)
+        folded: dict[tuple[int, ...], int] = {}
+        for S, c in partial.items():
+            for T, w in tables:
+                key = tuple(map(add, S, T))
+                folded[key] = folded.get(key, 0) + c * w
+        partial = folded
+    x_fact = prod(map(factorial, sum(left, ())))
+    return tuple(sorted(
+        (tuple(flat[r:r + n] for r in range(0, n * n, n)),
+         prod(map(factorial, flat)) * c // x_fact)
+        for flat, c in partial.items()
+    ))
 
 
 def _numerators(x: SchurElement) -> tuple[int, dict[Matrix, int]]:
@@ -151,7 +180,8 @@ def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Bilinear product; the left factor acts first on words.  Only term
     pairs with row_sums(Dx) == col_sums(Dy) can contribute, so only those
     are visited.  Both factors are scaled to integer numerators, so the
-    sums are over ints and each output coefficient is divided once."""
+    sums are over ints and each output coefficient is divided once.  The
+    keys come from the trusted core, so the result is not re-validated."""
     x._check_ambient(y)
     lx, nx = _numerators(x)
     ly, ny = _numerators(y)
@@ -165,7 +195,9 @@ def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
             for P, mult in _basis_product(Dx, Dy):
                 acc[P] = acc.get(P, 0) + cxy * mult
     scale = lx * ly
-    return SchurElement(x.n, x.d, {P: Fraction(total, scale) for P, total in acc.items()})
+    return SchurElement._trusted(
+        x.n, x.d, {P: Fraction(total, scale) for P, total in acc.items() if total}
+    )
 
 
 def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:

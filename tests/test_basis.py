@@ -14,7 +14,6 @@ from schuralg.basis import (
     content,
     enumerate_basis,
     identity_element,
-    is_diagonal,
     matrix_from_pair,
     row_sums,
     weight_block,
@@ -26,6 +25,10 @@ from schuralg.partitions import permute_positions
 
 
 # ---------------------------------------------------------------- oracles
+
+def is_diagonal(entries) -> bool:
+    return all(v == 0 for a, row in enumerate(entries) for b, v in enumerate(row) if a != b)
+
 
 def brute_basis(n: int, d: int) -> set[tuple[tuple[int, ...], ...]]:
     """Independent generation: scan all entry vectors summing to d."""

@@ -14,7 +14,6 @@ from schuralg.basis import (
     basis_element,
     enumerate_basis,
     identity_element,
-    is_diagonal,
     matrix_from_pair,
     weight_block,
 )
@@ -44,6 +43,10 @@ from schuralg.verification import (
     first_non_orthogonal_pair,
     sums_to_identity,
 )
+
+
+def is_diagonal(entries) -> bool:
+    return all(v == 0 for a, row in enumerate(entries) for b, v in enumerate(row) if a != b)
 
 
 def _m(a, b, c, d):

@@ -18,6 +18,7 @@ from schuralg.centre import primitive_idempotent
 from schuralg.multiplication import (
     _basis_product,
     _contingency_tables,
+    _margin_tables,
     class_multiplicity,
     compositions,
     euler_classes,
@@ -145,17 +146,35 @@ def test_product_core_does_not_revalidate(monkeypatch):
         euler_classes(((2, 0), (0, 1)), ((1, 1), (1, 0)))
 
 
-def test_basis_product_builds_each_composite_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_basis_product_matches_class_sum(n, d):
+    # the convolution over middle vertices equals the sum of class
+    # multiplicities grouped by composite graph, in sorted order
+    B = enumerate_basis(n, d)
+    for x, y in itertools.product(B, repeat=2):
+        grouped: dict = {}
+        for tensor in euler_classes(x, y):
+            P = product_graph(tensor)
+            grouped[P] = grouped.get(P, 0) + class_multiplicity(tensor)
+        got = _basis_product(x, y)
+        assert got == tuple(sorted(grouped.items()))
+        assert all(type(c) is int for _, c in got)
 
-    def counted(tensor):
-        calls.append(tensor)
-        return product_graph(tensor)
 
+def test_margin_cache_is_bounded_and_reused():
+    assert _margin_tables.cache_info().maxsize is not None
+    x = ((2, 0, 0), (1, 1, 0), (0, 0, 0))
+    y = ((1, 1, 0), (1, 0, 0), (0, 1, 0))
     _basis_product.cache_clear()
-    monkeypatch.setattr("schuralg.multiplication.product_graph", counted)
-    _basis_product(LEFT, RIGHT)
-    assert sorted(calls) == sorted(euler_classes(LEFT, RIGHT))
+    _margin_tables.cache_clear()
+    first = _basis_product(x, y)
+    assert first
+    before = _margin_tables.cache_info()
+    _basis_product.cache_clear()
+    assert _basis_product(x, y) == first
+    after = _margin_tables.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_product_graph_entry_sums():
