@@ -18,6 +18,19 @@ with multiplicity prod_{k,j} multinomial(P[k][j]; a[k][.][j]): parallel
 composite edges are distinguishable by which middle vertex their two-step
 path passes through.
 
+The products themselves never list the classes.  The slices T_i = a[.][i][.]
+are chosen independently per middle vertex i (row sums right[.][i], column
+sums left[i][.]), and the multiplicity P!/a! factors as (P!/x!) times
+prod_i w_i(T_i), with w_i(T) = prod_j multinomial(left[i][j]; T[.][j]) and
+x = left, where x!, P!, a! are the products of the entries' factorials.  So
+
+    c_P = (P!/x!) * sum over T_1 + ... + T_n = P of prod_i w_i(T_i),
+
+a convolution over the middle vertices; the division is exact.  Each
+margin's tables and weights are built once, and the middles are folded in
+one by one over a dict keyed by the partial sum.  ``euler_classes`` and
+``structure_constant`` remain independent routes to the same numbers.
+
 Orientation is load-bearing and locked by the regression tests: in x * y
 the LEFT factor acts first on words, so the composite's column sums (input
 content) come from x and its row sums (output content) come from y.  On
@@ -141,12 +154,8 @@ def _margin_tables(
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """Expansion of the product of two basis indices; both come from
     ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated.
-
-    Convolution over the middle vertices: the class multiplicity is
-    P!/prod(a!) and prod_i w_i(T_i) = x!/prod(a!), so c_P = (P!/x!) times
-    the sum, over middle slices T_i with T_1 + ... + T_n = P, of
-    prod_i w_i(T_i), with x = left and w_i the weight from ``_margin_tables``.
-    """
+    The middle vertices are folded in by the convolution in the module
+    docstring, with each margin's weighted tables from ``_margin_tables``."""
     if row_sums(left) != col_sums(right):
         return ()
     n = len(left)
