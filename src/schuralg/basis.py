@@ -43,6 +43,19 @@ class GeneralizedPermutation(NamedTuple):
     bottom: MultiIndex
 
 
+def check_degree(d: int) -> None:
+    """The d rule of ``check_ambient``: an int, not a bool or float, and >= 0."""
+    if type(d) is not int or d < 0:
+        raise ValueError(f"need d >= 0, got {d}")
+
+
+def check_ambient(n: int, d: int) -> None:
+    """The size rule of every (n, d) entry point: ints, not bools or floats,
+    with n >= 1 and d >= 0."""
+    if type(n) is not int or n < 1 or type(d) is not int or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+
+
 def check_matrix(entries: Matrix) -> tuple[int, int]:
     """Validate a square matrix of nonnegative ints (bools and floats are
     refused); return (n, entry sum)."""
@@ -64,16 +77,16 @@ def col_sums(entries: Matrix) -> tuple[int, ...]:
 
 def basis_count(n: int, d: int) -> int:
     """|M(n,d)| = C(n^2 + d - 1, d), computed without enumeration."""
+    check_ambient(n, d)
     return comb(n * n + d - 1, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_basis(n: int, d: int) -> tuple[Matrix, ...]:
     """All index matrices for (n, d), in lexicographic order of the row-major
     entry sequence: each is a multiset of d cells, and the sorted cell lists
     come in increasing order, which is decreasing order of the counts."""
-    if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    check_ambient(n, d)
     out = []
     for cells in itertools.combinations_with_replacement(range(n * n), d):
         flat = [0] * (n * n)
@@ -198,8 +211,7 @@ class SchurElement:
     __slots__ = ("n", "d", "terms")
 
     def __init__(self, n: int, d: int, terms: dict[Matrix, Scalar] | None = None):
-        if n < 1 or d < 0:
-            raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+        check_ambient(n, d)
         self.n = n
         self.d = d
         clean: dict[Matrix, Fraction] = {}
@@ -296,5 +308,6 @@ def basis_element(entries: Matrix) -> SchurElement:
 def identity_element(n: int, d: int) -> SchurElement:
     """Sum of the diagonal basis indices, one per sorted word; the two-sided
     identity."""
+    check_ambient(n, d)
     words = itertools.combinations_with_replacement(range(1, n + 1), d)
     return SchurElement(n, d, {matrix_from_pair(w, w, n): 1 for w in words})

@@ -33,6 +33,7 @@ from .basis import (
     MultiIndex,
     SchurElement,
     canonical_pair,
+    check_ambient,
     check_matrix,
     col_sums,
     enumerate_basis,
@@ -103,6 +104,7 @@ def _square_block(n: int, d: int) -> list[tuple[Matrix, MultiIndex, MultiIndex]]
 
 def centre_basis_element(shape: Partition, n: int, d: int) -> SchurElement:
     """Image of the class sum of cycle type ``shape`` inside S(n,d)."""
+    check_ambient(n, d)
     shape = check_partition(shape)
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
@@ -128,6 +130,7 @@ def primitive_idempotent(shape: Partition, n: int, d: int) -> SchurElement:
     with f the standard tableau count of ``shape``.  For shapes with more
     than n parts the combination collapses to the zero element.
     """
+    check_ambient(n, d)
     shape = check_partition(shape)
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
@@ -148,6 +151,7 @@ def centre_dimension(n: int, d: int) -> int:
     n < d, so the rank is computed, not assumed.  Only the square block's
     columns can be nonzero, so only they are ranked.
     """
+    check_ambient(n, d)
     block = _square_block(n, d)
     return rational_rank([
         [_pair_count(shape, top, bottom) for _, top, bottom in block]

@@ -5,6 +5,12 @@ verify, graph.  Output formats: text (default), json (canonical, rationals
 as "p/q" strings), dot (graph renderings, multiply and graph only).  Each
 command accepts only the options it reads.
 
+Inputs are checked once, before dispatch: ``main`` parses the matrix
+operands of multiply and graph and derives (n, d) from them, then applies
+the library's size rule (``basis.check_ambient``) and the resource guards.
+The handlers only compute, and ``_emit`` adds the command, n and d to the
+JSON payload.
+
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
 
@@ -20,7 +26,14 @@ import argparse
 import sys
 from math import factorial
 
-from .basis import basis_count, basis_element, check_matrix, enumerate_basis
+from .basis import (
+    basis_count,
+    basis_element,
+    check_ambient,
+    check_degree,
+    check_matrix,
+    enumerate_basis,
+)
 from .centre import centre_basis_element, centre_dimension, primitive_idempotent
 from .formats import (
     canonical_json,
@@ -59,82 +72,67 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _guard_ambient(n: int, d: int) -> None:
-    if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
-    if n > MAX_N or d > MAX_D:
-        raise TensorDimensionError(
-            f"(n, d) = ({n}, {d}) outside guards n <= {MAX_N}, d <= {MAX_D}"
-        )
-
-
-def _guard_enumeration(n: int, d: int) -> None:
-    size = basis_count(n, d)
-    if size > MAX_ENUMERATION:
-        raise TensorDimensionError(
-            f"basis of M({n},{d}) has {size} matrices, over the {MAX_ENUMERATION} cap"
-        )
-
-
-def _ambient_from_matrices(args: argparse.Namespace, *matrices) -> tuple[int, int]:
-    n, d = check_matrix(matrices[0])
-    for m in matrices[1:]:
-        if check_matrix(m) != (n, d):
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Parse the matrix operands, derive (n, d) from them, and check the sizes
+    against the library's rule and the resource guards: once, before dispatch."""
+    if args.operands:
+        matrices = [parse_matrix(getattr(args, name)) for name in args.operands]
+        n, d = check_matrix(matrices[0])
+        if any(check_matrix(m) != (n, d) for m in matrices[1:]):
             raise ValueError("operand matrices have mismatched shape or entry sum")
-    if args.n is not None and args.n != n:
-        raise ValueError(f"--n {args.n} does not match operand size {n}")
-    if args.d is not None and args.d != d:
-        raise ValueError(f"--d {args.d} does not match operand entry sum {d}")
-    return n, d
+        if args.n is not None and args.n != n:
+            raise ValueError(f"--n {args.n} does not match operand size {n}")
+        if args.d is not None and args.d != d:
+            raise ValueError(f"--d {args.d} does not match operand entry sum {d}")
+        vars(args).update(zip(args.operands, matrices), n=n, d=d)
+    if args.n is None:  # character-table reads d alone
+        check_degree(args.d)
+        size, guard = f"d = {args.d}", f"guard d <= {MAX_D}"
+    else:
+        check_ambient(args.n, args.d)
+        size, guard = f"(n, d) = ({args.n}, {args.d})", f"guards n <= {MAX_N}, d <= {MAX_D}"
+    if (args.n or 0) > MAX_N or args.d > MAX_D:
+        raise TensorDimensionError(f"{size} outside {guard}")
+    if args.capped and (count := basis_count(args.n, args.d)) > MAX_ENUMERATION:
+        raise TensorDimensionError(
+            f"basis of M({args.n},{args.d}) has {count} matrices, over the {MAX_ENUMERATION} cap"
+        )
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
     if args.output == "json":
-        print(canonical_json(payload))
+        header = {"command": args.command, "d": args.d}
+        if args.n is not None:
+            header["n"] = args.n
+        print(canonical_json(header | payload))
     else:
         for line in text_lines:
             print(line)
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
-    _guard_ambient(args.n, args.d)
     size = basis_count(args.n, args.d)
     dim = centre_dimension(args.n, args.d)
-    payload = {"command": "dim", "n": args.n, "d": args.d, "basis_size": size,
-               "centre_dimension": dim}
-    _emit(args, [f"|M({args.n},{args.d})| = {size}", f"centre dimension = {dim}"], payload)
+    _emit(args, [f"|M({args.n},{args.d})| = {size}", f"centre dimension = {dim}"],
+          {"basis_size": size, "centre_dimension": dim})
     return EXIT_OK
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    _guard_ambient(args.n, args.d)
-    _guard_enumeration(args.n, args.d)
     B = enumerate_basis(args.n, args.d)
-    payload = {
-        "command": "basis",
-        "n": args.n,
-        "d": args.d,
-        "count": len(B),
-        "matrices": [[list(row) for row in D] for D in B],
-    }
+    payload = {"count": len(B), "matrices": [[list(row) for row in D] for D in B]}
     _emit(args, [format_matrix(D) for D in B], payload)
     return EXIT_OK
 
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
-    left = parse_matrix(args.left)
-    right = parse_matrix(args.right)
-    n, d = _ambient_from_matrices(args, left, right)
-    _guard_ambient(n, d)
+    left, right = args.left, args.right
     if args.output == "dot":
         for idx, tensor in enumerate(euler_classes(left, right)):
             print(euler_class_to_dot(tensor, name=f"matching_{idx}"))
         return EXIT_OK
     product = multiply(basis_element(left), basis_element(right))
     payload: dict = {
-        "command": "multiply",
-        "n": n,
-        "d": d,
         "left": [list(r) for r in left],
         "right": [list(r) for r in right],
         "product": element_to_json(product),
@@ -171,27 +169,17 @@ def _selected_shapes(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_centre(args: argparse.Namespace) -> int:
-    _guard_ambient(args.n, args.d)
-    _guard_enumeration(args.n, args.d)
     lines = []
     items = []
     for shape in _selected_shapes(args):
         z = centre_basis_element(shape, args.n, args.d)
         lines.append(f"Z{format_partition(shape)} = {format_element(z)}")
         items.append({"partition": list(shape), "element": element_to_json(z)})
-    payload = {
-        "command": "centre",
-        "n": args.n,
-        "d": args.d,
-        "class_sums": items,
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines, {"class_sums": items})
     return EXIT_OK
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
-    _guard_ambient(args.n, args.d)
-    _guard_enumeration(args.n, args.d)
     eps = {s: primitive_idempotent(s, args.n, args.d) for s in _selected_shapes(args)}
     lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()]
     checks = {"idempotent": first_non_idempotent(eps) is None}
@@ -203,9 +191,6 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
         lines.append(f"orthogonal: {checks['orthogonal']}")
         lines.append(f"sums to identity: {checks['resolution_of_identity']}")
     payload = {
-        "command": "idempotents",
-        "n": args.n,
-        "d": args.d,
         "idempotents": [
             {"partition": list(s), "element": element_to_json(e)} for s, e in eps.items()
         ],
@@ -216,12 +201,7 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def _cmd_character_table(args: argparse.Namespace) -> int:
-    d = args.d
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
-    if d > MAX_D:
-        raise TensorDimensionError(f"d = {d} outside guard d <= {MAX_D}")
-    shapes = partitions_of(d)
+    shapes = partitions_of(args.d)
     table = [[character(s, mu) for mu in shapes] for s in shapes]
     sizes = [class_size(mu) for mu in shapes]
     width = max(len(format_partition(s)) for s in shapes)
@@ -237,43 +217,29 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
             + "  ".join(f"{v:>8}" for v in row)
         )
     payload = {
-        "command": "character-table",
-        "d": d,
         "partitions": [list(s) for s in shapes],
         "class_sizes": sizes,
         "table": table,
-        "order": factorial(d),
+        "order": factorial(args.d),
     }
     _emit(args, lines, payload)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _guard_ambient(args.n, args.d)
-    _guard_enumeration(args.n, args.d)
     results = run_suite(args.n, args.d)
     lines = [
         f"{r.status.upper():5} {r.name}" + (f" ({r.detail})" if r.detail else "")
         for r in results
     ]
-    payload = {
-        "command": "verify",
-        "n": args.n,
-        "d": args.d,
-        "results": [
-            {"name": r.name, "status": r.status, "detail": r.detail} for r in results
-        ],
-    }
-    _emit(args, lines, payload)
+    rows = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
+    _emit(args, lines, {"results": rows})
     return EXIT_VERIFY if any(r.status == FAIL for r in results) else EXIT_OK
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    D = parse_matrix(args.matrix)
-    n, d = _ambient_from_matrices(args, D)
-    _guard_ambient(n, d)
-    dot = matrix_to_dot(D)
-    _emit(args, [dot], {"command": "graph", "n": n, "d": d, "dot": dot})
+    dot = matrix_to_dot(args.matrix)
+    _emit(args, [dot], {"dot": dot})
     return EXIT_OK
 
 
@@ -282,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schuralg",
         description="Exact Schur algebra toolkit: basis, products, centre, idempotents.",
     )
+    # marks read by _check_inputs, set per command below; neither is an option
+    parser.set_defaults(operands=(), capped=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, need_n=True, need_d=True,
@@ -298,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="list every index matrix")
     add_common(p)
-    p.set_defaults(func=_cmd_basis)
+    p.set_defaults(func=_cmd_basis, capped=True)
 
     p = sub.add_parser("multiply", help="product of two basis elements")
     p.add_argument("left", help="matrix literal, e.g. '2,0,0;1,0,2;0,0,0'")
@@ -306,33 +274,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-euler", action="store_true",
                    help="print each matching class with its composite graph")
     add_common(p, need_n=False, need_d=False, outputs=("text", "json", "dot"))
-    p.set_defaults(func=_cmd_multiply)
+    p.set_defaults(func=_cmd_multiply, operands=("left", "right"))
 
     p = sub.add_parser("centre", help="class-sum expansions")
     p.add_argument("--shape", default=None,
                    help="partition literal, e.g. '3,1'; restrict to one class sum")
     add_common(p)
-    p.set_defaults(func=_cmd_centre)
+    p.set_defaults(func=_cmd_centre, capped=True)
 
     p = sub.add_parser("idempotents", help="primitive central idempotents")
     p.add_argument("--shape", default=None,
                    help="partition literal; restrict to one idempotent")
     add_common(p)
-    p.set_defaults(func=_cmd_idempotents)
+    p.set_defaults(func=_cmd_idempotents, capped=True)
 
     p = sub.add_parser("character-table", help="symmetric group character table")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_character_table)
+    p.set_defaults(func=_cmd_character_table, n=None)
 
     p = sub.add_parser("verify", help="run the invariant suite at (n, d)")
     add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, capped=True)
 
     p = sub.add_parser("graph", help="DOT rendering of an index matrix")
     p.add_argument("matrix", help="matrix literal")
     add_common(p, need_n=False, need_d=False, outputs=("text", "json", "dot"))
-    p.set_defaults(func=_cmd_graph)
+    p.set_defaults(func=_cmd_graph, operands=("matrix",))
 
     return parser
 
@@ -344,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _check_inputs(args)
         return args.func(args)
     except TensorDimensionError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
+from .basis import check_degree
+
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
@@ -42,15 +44,14 @@ def check_permutation(images: tuple[int, ...]) -> Permutation:
     return images
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(d: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of d, each once, in reverse lexicographic order.
 
     ``partitions_of(4)`` is ``((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))``.
     ``d = 0`` yields the single empty partition.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    check_degree(d)
     if d == 0:
         return ((),)
     bound = d if max_part is None else min(max_part, d)
@@ -111,13 +112,14 @@ def class_size(shape: Partition) -> int:
     return factorial(d) // z
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def permutations_by_type(d: int) -> dict[Partition, tuple[Permutation, ...]]:
     """All of S_d grouped by cycle type.  Intended for d <= 8.
 
     Serves only the independent checks and the tests: the centre counts
     class-sum coefficients over bijections between two words instead of
     scanning S_d."""
+    check_degree(d)
     groups: dict[Partition, list[Permutation]] = {}
     for w in itertools.permutations(range(1, d + 1)):
         groups.setdefault(cycle_type(w), []).append(w)

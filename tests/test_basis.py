@@ -19,9 +19,10 @@ from schuralg.basis import (
     weight_block,
     words_of_content,
 )
+from schuralg.centre import centre_basis_element, centre_dimension, primitive_idempotent
 from schuralg.multiplication import compositions, multiply
 from schuralg.oracle import all_words
-from schuralg.partitions import permute_positions
+from schuralg.partitions import partitions_of, permutations_by_type, permute_positions
 
 
 # ---------------------------------------------------------------- oracles
@@ -295,6 +296,33 @@ def test_element_rejects_bool_scalars():
 def test_basis_element_rejects_non_int_entries(entries):
     with pytest.raises(ValueError):
         basis_element(entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SchurElement(2.5, 2),
+        lambda: SchurElement(True, 2),
+        lambda: SchurElement.zero(2, 1.0),
+        lambda: basis_count(0, 2),
+        lambda: centre_dimension(0, 2),
+        lambda: centre_basis_element((2,), 0, 2),
+        lambda: primitive_idempotent((2,), 0, 2),
+        lambda: centre_dimension(True, 2),
+        lambda: identity_element(2, 2.0),
+        lambda: permutations_by_type(-1),
+        lambda: partitions_of(True),
+    ],
+    ids=["element-float-n", "element-bool-n", "zero-float-d", "basis-count-n0",
+         "centre-dimension-n0", "centre-basis-element-n0", "primitive-idempotent-n0",
+         "centre-dimension-bool-n", "identity-float-d", "permutations-by-type-d-1",
+         "partitions-of-bool"],
+)
+def test_size_rule_refuses_bad_sizes(call):
+    """Every public (n, d) entry point applies the one size rule: n and d are
+    ints, not bools or floats, with n >= 1 and d >= 0."""
+    with pytest.raises(ValueError):
+        call()
 
 
 # --------------------------------------------------------------- identity

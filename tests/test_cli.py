@@ -1,12 +1,15 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from schuralg.cli import main
+from schuralg.cli import build_parser, main
 from schuralg.formats import canonical_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 WORKED_LEFT = "2,0,0;1,0,2;0,0,0"
 WORKED_RIGHT = "1,0,0;1,1,0;0,2,0"
 
@@ -41,6 +44,18 @@ def run_cli(capsys, *argv):
         ("verify_n2_d3.json", ("verify", "--n", "2", "--d", "3", "--output", "json")),
         ("verify_n2_d6.json", ("verify", "--n", "2", "--d", "6", "--output", "json")),
         ("dim_n3_d4.json", ("dim", "--n", "3", "--d", "4", "--output", "json")),
+        ("dim_n2_d4.txt", ("dim", "--n", "2", "--d", "4")),
+        ("basis_n2_d2.txt", ("basis", "--n", "2", "--d", "2")),
+        ("multiply_worked_pair.txt", ("multiply", WORKED_LEFT, WORKED_RIGHT)),
+        ("multiply_worked_pair.json",
+         ("multiply", WORKED_LEFT, WORKED_RIGHT, "--output", "json")),
+        ("centre_n2_d4.txt", ("centre", "--n", "2", "--d", "4")),
+        ("centre_n2_d4_shape_2_1_1.json",
+         ("centre", "--n", "2", "--d", "4", "--shape", "2,1,1", "--output", "json")),
+        ("character_table_d4.txt", ("character-table", "--d", "4")),
+        ("character_table_d4.json", ("character-table", "--d", "4", "--output", "json")),
+        ("graph_worked_left.json", ("graph", WORKED_LEFT, "--output", "json")),
+        ("verify_n2_d3.txt", ("verify", "--n", "2", "--d", "3")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):
@@ -318,3 +333,57 @@ def test_resource_error_on_large_n(capsys):
 def test_resource_error_on_large_d(capsys):
     code, _, _ = run_cli(capsys, "centre", "--n", "2", "--d", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [(("centre", "--n", "5", "--d", "6"), 3, "resource error: "),
+     (("character-table", "--d", "9"), 3, "resource error: "),
+     (("multiply", "1,0;0,0", "1,0;0,0", "--n", "3"), 2, "usage error: "),
+     (("multiply", "1,0;0,0", "1,0;0,0", "--d", "2"), 2, "usage error: ")],
+    ids=["centre-over-cap", "character-table-d9", "multiply-n-mismatch",
+         "multiply-d-mismatch"],
+)
+def test_refused_before_dispatch(capsys, argv, code, prefix):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)
+
+
+def _readme_options() -> dict[str, tuple[list[str], dict]]:
+    """Command -> (positional names, {option: --output choices or None}), read
+    from the option table under "Formats and flags" in the README."""
+    table = {}
+    for row in README.read_text().splitlines():
+        cells = row.split("|")
+        if len(cells) != 4 or not cells[1].strip().startswith("`"):
+            continue
+        options = {
+            opt: tuple(choices.split(",")) if choices else None
+            for opt, choices in re.findall(r"`(--[a-z-]+)(?: \{([a-z,]+)\})?`", cells[2])
+        }
+        for usage in re.findall(r"`([^`]+)`", cells[1]):
+            name, *positionals = usage.split()
+            table[name] = (positionals, options)
+    return table
+
+
+def _parser_options() -> dict[str, tuple[list[str], dict]]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, command in sub.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        table[name] = (
+            [a.dest.upper() for a in actions if not a.option_strings],
+            {a.option_strings[0]: tuple(a.choices) if a.choices else None
+             for a in actions if a.option_strings},
+        )
+    return table
+
+
+def test_options_match_readme_table():
+    """Each command's option strings (and --output choices) are the ones the
+    README's "Formats and flags" table lists for it."""
+    assert _readme_options() == _parser_options()
