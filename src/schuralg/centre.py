@@ -6,11 +6,16 @@ index D is a permutation count: with (top, bottom) the canonical word pair
 of D, it is the number of permutations of the prescribed cycle type
 carrying bottom to top under the position action.
 
-Those permutations are counted without scanning S_d.  A permutation
-carries bottom to top exactly when it sends the positions of each letter
-a in top onto the positions of a in bottom, so the carriers are the
-prod_a c_a! bijections built letter by letter (c_a the multiplicity of a).
-One histogram of their cycle types per word pair serves every shape.
+Those permutations are counted without scanning S_d or listing them.  A
+permutation carries bottom to top exactly when it sends the positions of
+each letter a in top onto the positions of a in bottom.  Read position k
+as an edge bottom[k] -> top[k] of the multigraph of D: a carrier is then a
+transition system, at each letter a bijection from the c_a edges entering
+it to the c_a edges leaving it (c_a the multiplicity of a), and its cycles
+are the closed trails this produces.  ``_joined_paths`` counts them by
+joining open paths one end at a time, memoised on the state of open paths,
+so the prod_a c_a! carriers are never listed.  One histogram of their cycle
+types per word pair serves every shape.
 ``verification.check_action_convention`` keeps the full S_d scan as the
 independent route and compares it with ``class_coefficient``.
 
@@ -22,8 +27,6 @@ of assuming it.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -44,7 +47,6 @@ from .linalg import rational_rank
 from .multiplication import compositions, multiply
 from .partitions import (
     Partition,
-    _cycle_type,
     character,
     check_partition,
     partitions_of,
@@ -52,26 +54,113 @@ from .partitions import (
 )
 
 
+Path = tuple[int, int, int]  # (end letter, start letter, length) of an open path
+PathState = tuple[tuple[Path, int], ...]  # sorted (path, multiplicity) pairs
+
+
 @lru_cache(maxsize=None)
 def _cycle_type_histogram(top: MultiIndex, bottom: MultiIndex) -> dict[Partition, int]:
     """Cycle type -> number of permutations carrying ``bottom`` to ``top``.
 
-    ``top`` is a canonical top word, hence sorted: the positions of each
-    letter form one run, in letter order.  So a carrier in one-line
-    notation is, letter by letter, an arrangement of the positions of that
-    letter in ``bottom``.  Words of different content have no carrier.
+    Position k is an edge bottom[k] -> top[k], an open path of length 1.
+    A carrier matches, at each letter, the edges entering it with the edges
+    leaving it, and its cycles are the closed trails this produces; the
+    paths are joined by ``_joined_paths``.  Words of different content have
+    no carrier.
     """
     if sorted(bottom) != list(top):
         return {}
-    positions: dict[int, list[int]] = {}
-    for k, letter in enumerate(bottom, 1):
-        positions.setdefault(letter, []).append(k)
-    counts: Counter[Partition] = Counter()
-    for runs in itertools.product(
-        *(itertools.permutations(positions[a]) for a in sorted(positions))
-    ):
-        counts[_cycle_type([k for run in runs for k in run])] += 1
-    return dict(counts)
+    paths: dict[Path, int] = {}
+    for t, b in zip(top, bottom):
+        paths[t, b, 1] = paths.get((t, b, 1), 0) + 1
+    closed, state = _settle(paths)
+    return {_with(shape, closed): count for shape, count in _joined_paths(state)}
+
+
+@lru_cache(maxsize=4096)
+def _joined_paths(state: PathState) -> tuple[tuple[Partition, int], ...]:
+    """Cycle type -> number of ways to close the open paths of ``state``
+    into closed trails, matching the path ends at every letter one to one
+    with the path starts there.
+
+    The end of the smallest path is joined to each start at its letter: the
+    weight of a join is the number of open paths with that start's
+    descriptor, and a path that starts where it ends may also close on
+    itself, one way, as a cycle of its length.
+    """
+    if not state:
+        return (((), 1),)
+    first = state[0][0]
+    end, start, length = first
+    rest = dict(state)
+    _drop(rest, first)
+    branches: list[tuple[int, tuple[int, ...], dict[Path, int]]] = []
+    if start == end:
+        branches.append((1, (length,), rest))
+    for path, mult in rest.items():
+        if path[1] == end:
+            joined = rest.copy()
+            _drop(joined, path)
+            new = (path[0], start, length + path[2])
+            joined[new] = joined.get(new, 0) + 1
+            branches.append((mult, (), joined))
+    counts: dict[Partition, int] = {}
+    for weight, closed, paths in branches:
+        more, sub = _settle(paths)
+        for shape, count in _joined_paths(sub):
+            shape = _with(shape, closed + more)
+            counts[shape] = counts.get(shape, 0) + weight * count
+    return tuple(counts.items())
+
+
+def _settle(paths: dict[Path, int]) -> tuple[tuple[int, ...], PathState]:
+    """Join at every letter with one path start left, which leaves no
+    choice, and renumber the letters still present 0..k-1 in order, so that
+    equal states at different letters share one ``_joined_paths`` entry.
+    Returns the lengths of the cycles closed on the way and the state.
+    Mutates ``paths``.
+
+    A join at one letter leaves the number of starts at every other letter
+    as it was, so one count of the starts finds every such letter, and a
+    path through such a letter is the only one with its descriptor."""
+    starts: dict[int, int] = {}
+    for (_, s, _), mult in paths.items():
+        starts[s] = starts.get(s, 0) + mult
+    closed: list[int] = []
+    into: dict[int, Path] = {}
+    out: dict[int, Path] = {}
+    for path in paths:
+        if starts[path[0]] == 1:
+            into[path[0]] = path
+        if starts[path[1]] == 1:
+            out[path[1]] = path
+    for letter in list(into):
+        first, then = into.pop(letter), out.pop(letter)
+        del paths[first]
+        if first == then:
+            closed.append(first[2])
+            continue
+        del paths[then]
+        joined = (then[0], first[1], first[2] + then[2])
+        paths[joined] = paths.get(joined, 0) + 1
+        if joined[0] in into:
+            into[joined[0]] = joined
+        if joined[1] in out:
+            out[joined[1]] = joined
+    rank = {a: i for i, a in enumerate(sorted(a for a, c in starts.items() if c > 1))}
+    return tuple(closed), tuple(sorted(
+        ((rank[e], rank[s], length), mult) for (e, s, length), mult in paths.items()
+    ))
+
+
+def _drop(paths: dict[Path, int], path: Path) -> None:
+    mult = paths.pop(path)
+    if mult > 1:
+        paths[path] = mult - 1
+
+
+def _with(shape: Partition, lengths: tuple[int, ...]) -> Partition:
+    return tuple(sorted(shape + lengths, reverse=True)) if lengths else shape
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +238,13 @@ def centre_dimension(n: int, d: int) -> int:
 
     The class sums always span the centre but are linearly dependent when
     n < d, so the rank is computed, not assumed.  Only the square block's
-    columns can be nonzero, so only they are ranked.
+    columns can be nonzero, and a repeated column leaves the rank as it is,
+    so only the distinct columns of the square block are ranked.
     """
     check_ambient(n, d)
-    block = _square_block(n, d)
-    return rational_rank([
-        [_pair_count(shape, top, bottom) for _, top, bottom in block]
-        for shape in partitions_of(d)
-    ])
+    shapes = partitions_of(d)
+    columns = dict.fromkeys(
+        tuple(_pair_count(shape, top, bottom) for shape in shapes)
+        for _, top, bottom in _square_block(n, d)
+    )
+    return rational_rank([list(column) for column in columns])

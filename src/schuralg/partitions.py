@@ -117,8 +117,8 @@ def permutations_by_type(d: int) -> dict[Partition, tuple[Permutation, ...]]:
     """All of S_d grouped by cycle type.  Intended for d <= 8.
 
     Serves only the independent checks and the tests: the centre counts
-    class-sum coefficients over bijections between two words instead of
-    scanning S_d."""
+    class-sum coefficients by joining open paths over the multigraph of an
+    index instead of scanning S_d."""
     check_degree(d)
     groups: dict[Partition, list[Permutation]] = {}
     for w in itertools.permutations(range(1, d + 1)):

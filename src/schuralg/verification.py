@@ -171,8 +171,8 @@ def check_row_sum_law(n: int, d: int) -> CheckResult:
 
 def check_action_convention(n: int, d: int) -> CheckResult:
     """Counting with w or with w^{-1} yields the same class coefficients, and
-    a full scan of S_d agrees with ``class_coefficient``, which counts over
-    the bijections between the two words instead."""
+    a full scan of S_d agrees with ``class_coefficient``, which counts the
+    carriers by joining open paths over the multigraph of D instead."""
     if d > 5:
         return CheckResult("action-convention", SKIP, "exhaustive only for d <= 5")
     by_type = permutations_by_type(d)

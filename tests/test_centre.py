@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schuralg.basis
 import schuralg.centre
@@ -12,6 +13,7 @@ from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
     basis_element,
+    canonical_pair,
     enumerate_basis,
     identity_element,
     matrix_from_pair,
@@ -19,6 +21,7 @@ from schuralg.basis import (
 )
 from schuralg.centre import (
     _cycle_type_histogram,
+    _joined_paths,
     _pair_count,
     centre_basis_element,
     centre_dimension,
@@ -138,6 +141,58 @@ def test_bijection_histogram_matches_full_scan(n, d):
             assert sum(histogram.values()) == prod(factorial(c) for c in rows)
 
 
+def brute_histogram(top, bottom):
+    """Independent count: list the prod_a c_a! carriers letter by letter.
+
+    ``top`` is sorted, so a carrier in one-line notation is, letter by
+    letter, an arrangement of the positions of that letter in ``bottom``."""
+    if sorted(bottom) != list(top):
+        return {}
+    positions = {}
+    for k, letter in enumerate(bottom, 1):
+        positions.setdefault(letter, []).append(k)
+    counts = {}
+    for runs in itertools.product(
+        *(itertools.permutations(positions[a]) for a in sorted(positions))
+    ):
+        shape = cycle_type(tuple(k for run in runs for k in run))
+        counts[shape] = counts.get(shape, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n, d", [(3, 8), (4, 6), (5, 5)])
+def test_joined_paths_histogram_matches_bijection_listing(n, d):
+    # sizes where a scan of S_d per index is too slow, but listing the
+    # carriers of each square-block index is not
+    for rows in compositions(d, (d,) * n):
+        for _, top, bottom in weight_block(rows, rows):
+            assert _cycle_type_histogram(top, bottom) == brute_histogram(top, bottom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, n), max_size=7),
+    st.permutations(range(1, n + 1)),
+)))
+def test_histogram_property(case):
+    bottom, relabel = case
+    n = len(relabel)
+    top = tuple(sorted(bottom))
+    D = matrix_from_pair(top, tuple(bottom), n)
+    histogram = _cycle_type_histogram(*canonical_pair(D))
+    assert histogram == brute_histogram(top, tuple(bottom))
+    assert sum(histogram.values()) == prod(factorial(top.count(a)) for a in set(top))
+    moved = matrix_from_pair(
+        tuple(relabel[a - 1] for a in top), tuple(relabel[b - 1] for b in bottom), n
+    )
+    for image in (tuple(zip(*D)), moved):
+        assert _cycle_type_histogram(*canonical_pair(image)) == histogram
+
+
+def test_joined_paths_memo_is_bounded():
+    assert _joined_paths.cache_info().maxsize is not None
+
+
 def test_centre_does_not_scan_the_symmetric_group(monkeypatch):
     expected = (
         centre_dimension(2, 5),
@@ -152,6 +207,7 @@ def test_centre_does_not_scan_the_symmetric_group(monkeypatch):
     monkeypatch.setattr(schuralg.centre, "permutations_by_type", refuse, raising=False)
     _pair_count.cache_clear()
     _cycle_type_histogram.cache_clear()
+    _joined_paths.cache_clear()
     assert expected[0] == 3
     assert (
         centre_dimension(2, 5),
