@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 MultiIndex = tuple[int, ...]
@@ -109,6 +109,40 @@ def words_of_content(mu: tuple[int, ...]) -> Iterator[MultiIndex]:
                 yield (a + 1, *tail)
 
 
+def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every vector of nonnegative integers with sum ``total`` and entry c at
+    most ``caps[c]``, in decreasing lexicographic order; ``caps`` is nonempty."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = caps[1:]
+    for v in range(min(total, caps[0]), max(total - sum(rest), 0) - 1, -1):
+        for tail in compositions(total - v, rest):
+            yield (v, *tail)
+
+
+def _contingency_tables(
+    rsums: tuple[int, ...], csums: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All nonnegative integer matrices with the given row and column sums,
+    in decreasing row-major lexicographic order."""
+    if sum(rsums) != sum(csums):
+        return
+    if len(rsums) == 1:
+        yield (tuple(csums),)
+        return
+    for row in compositions(rsums[0], csums):
+        remaining = tuple(c - v for c, v in zip(csums, row))
+        for rest in _contingency_tables(rsums[1:], remaining):
+            yield (row, *rest)
+
+
+def _sorted_word(counts: Sequence[int]) -> MultiIndex:
+    """The nondecreasing word in which letter a occurs counts[a-1] times."""
+    return tuple(a for a, count in enumerate(counts, 1) for _ in range(count))
+
+
 @lru_cache(maxsize=None)
 def weight_block(
     rows: tuple[int, ...], cols: tuple[int, ...]
@@ -116,15 +150,48 @@ def weight_block(
     """The index matrices with row sums ``rows`` and column sums ``cols``,
     each as (D, top, bottom) with D's canonical word pair: ``top`` is the
     sorted word of content ``rows``, and the bottoms are the words of content
-    ``cols`` nondecreasing along each run of equal letters in ``top``."""
-    top = next(words_of_content(rows))
-    runs = [k for k in range(1, len(top)) if top[k - 1] == top[k]]
-    n = len(rows)
+    ``cols`` nondecreasing along each run of equal letters in ``top``, in
+    lexicographic order.
+
+    The run of top letter a is the sorted word of row a of D, so the walk
+    picks the rows one at a time, each a composition of rows[a] within the
+    column sums left over; decreasing order of the rows is increasing order
+    of the bottoms, and no discarded word is built.
+    """
+    if len(rows) != len(cols) or sum(rows) != sum(cols):
+        raise ValueError(f"row sums {rows} and column sums {cols} differ in length or total")
+    top = _sorted_word(rows)
     return tuple(
-        (matrix_from_pair(top, bottom, n), top, bottom)
-        for bottom in words_of_content(cols)
-        if all(bottom[k - 1] <= bottom[k] for k in runs)
+        (D, top, sum(map(_sorted_word, D), ()))
+        for D in _contingency_tables(rows, cols)
     )
+
+
+def generator_indices(n: int, d: int) -> tuple[Matrix, ...]:
+    """The basis indices of the Chevalley-type generators of S(n,d) over Q
+    (Doty and Giaquinto, "Presenting Schur algebras", IMRN 2002).
+
+    The weight idempotents 1_lambda are the |Lambda(n,d)| diagonal indices.
+    Each nonzero piece 1_mu e_i 1_lambda or 1_mu f_i 1_lambda is one basis
+    element: a diagonal index of entry sum d - 1 plus one unit at (i, i+1)
+    or at (i+1, i), 2(n-1)|Lambda(n,d-1)| indices in all.  Sums of these
+    pieces give e_i and f_i, so an element is central iff it commutes with
+    every index listed here.
+    """
+    check_ambient(n, d)
+    letters = range(1, n + 1)
+    diagonal = [
+        matrix_from_pair(word, word, n)
+        for word in itertools.combinations_with_replacement(letters, d)
+    ]
+    shorter = itertools.combinations_with_replacement(letters, d - 1) if d else ()
+    pieces = [
+        matrix_from_pair((*word, a), (*word, b), n)
+        for word in shorter
+        for i in range(1, n)
+        for a, b in ((i, i + 1), (i + 1, i))
+    ]
+    return (*diagonal, *pieces)
 
 
 def content(word: MultiIndex, n: int) -> tuple[int, ...]:

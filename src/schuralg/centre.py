@@ -23,6 +23,12 @@ The stored action convention is w . word = (word[w[1]-1], ..., word[w[d]-1]).
 Counting with w or with its inverse gives the same coefficients because
 cycle type is inversion invariant; the tests assert that equality instead
 of assuming it.
+
+Centrality has two routes.  ``commutes_with_generators`` commutes with the
+generators e_i, f_i and 1_lambda of S(n,d) over Q, one basis index per
+nonzero weight piece (``basis.generator_indices``); ``verify`` uses it and
+never enumerates the basis.  ``is_central`` commutes with every basis
+element and stays as the tests' independent route.
 """
 
 from __future__ import annotations
@@ -39,12 +45,14 @@ from .basis import (
     check_ambient,
     check_matrix,
     col_sums,
+    compositions,
     enumerate_basis,
+    generator_indices,
     row_sums,
     weight_block,
 )
 from .linalg import rational_rank
-from .multiplication import compositions, multiply
+from .multiplication import multiply
 from .partitions import (
     Partition,
     character,
@@ -163,7 +171,7 @@ def _with(shape: Partition, lengths: tuple[int, ...]) -> Partition:
     return tuple(sorted(shape + lengths, reverse=True)) if lengths else shape
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _pair_count(shape: Partition, top: MultiIndex, bottom: MultiIndex) -> int:
     return _cycle_type_histogram(top, bottom).get(shape, 0)
 
@@ -197,15 +205,29 @@ def centre_basis_element(shape: Partition, n: int, d: int) -> SchurElement:
     shape = check_partition(shape)
     if sum(shape) != d:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
-    return SchurElement(
-        n, d, {D: _pair_count(shape, top, bottom) for D, top, bottom in _square_block(n, d)}
-    )
+    return SchurElement._trusted(n, d, {
+        D: Fraction(count)
+        for D, top, bottom in _square_block(n, d)
+        if (count := _pair_count(shape, top, bottom))
+    })
 
 
 def is_central(x: SchurElement) -> bool:
     """True iff x commutes with every basis element."""
     for D in enumerate_basis(x.n, x.d):
         g = SchurElement(x.n, x.d, {D: 1})
+        if multiply(x, g) != multiply(g, x):
+            return False
+    return True
+
+
+def commutes_with_generators(x: SchurElement) -> bool:
+    """True iff x commutes with every index of ``generator_indices``, the
+    Chevalley-type generators of S(n,d) over Q; that is, iff x is central.
+    ``is_central``, which multiplies by the whole basis, stays the
+    independent route."""
+    for D in generator_indices(x.n, x.d):
+        g = SchurElement._trusted(x.n, x.d, {D: Fraction(1)})
         if multiply(x, g) != multiply(g, x):
             return False
     return True
@@ -225,12 +247,11 @@ def primitive_idempotent(shape: Partition, n: int, d: int) -> SchurElement:
         raise ValueError(f"partition weight {sum(shape)} != d = {d}")
     f, order = tableaux_count(shape), factorial(d)
     chars = {mu: ch for mu in partitions_of(d) if (ch := character(shape, mu))}
-    return SchurElement(n, d, {
-        D: Fraction(
-            f * sum(ch * _pair_count(mu, top, bottom) for mu, ch in chars.items()), order
-        )
+    coefficients = (
+        (D, Fraction(f * sum(ch * _pair_count(mu, top, bottom) for mu, ch in chars.items()), order))
         for D, top, bottom in _square_block(n, d)
-    })
+    )
+    return SchurElement._trusted(n, d, {D: c for D, c in coefficients if c})
 
 
 def centre_dimension(n: int, d: int) -> int:

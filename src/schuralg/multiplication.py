@@ -46,13 +46,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .basis import (
     Matrix,
     SchurElement,
+    _contingency_tables,
     check_matrix,
     col_sums,
+    compositions,
     row_sums,
 )
 
@@ -67,35 +69,6 @@ def _multinomial(parts: Sequence[int]) -> int:
         out *= comb(rem, p)
         rem -= p
     return out
-
-
-def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every vector of nonnegative integers with sum ``total`` and entry c at
-    most ``caps[c]``, in decreasing lexicographic order; ``caps`` is nonempty."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    rest = caps[1:]
-    for v in range(min(total, caps[0]), max(total - sum(rest), 0) - 1, -1):
-        for tail in compositions(total - v, rest):
-            yield (v, *tail)
-
-
-def _contingency_tables(
-    rsums: tuple[int, ...], csums: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All nonnegative integer matrices with the given row and column sums,
-    in decreasing row-major lexicographic order."""
-    if sum(rsums) != sum(csums):
-        return
-    if len(rsums) == 1:
-        yield (tuple(csums),)
-        return
-    for row in compositions(rsums[0], csums):
-        remaining = tuple(c - v for c, v in zip(csums, row))
-        for rest in _contingency_tables(rsums[1:], remaining):
-            yield (row, *rest)
 
 
 def euler_classes(left: Matrix, right: Matrix) -> tuple[Tensor, ...]:

@@ -10,8 +10,14 @@ Weight spaces are enumerated per content, on demand; the n^d word list
 law.  Products compose blocks where the middle weights meet and read each
 target index of ``basis.weight_block`` at its canonical word pair:
 distinct indices have disjoint 0/1 supports, so that one entry is its
-coefficient.  This cross-checks the combinatorial product by a completely
+coefficient.  ``find_product_mismatch`` does this for every basis pair at
+once, weight key pair by weight key pair: the 0/1 int64 operators of one
+key are stacked, and one einsum forms every composite of two keys that
+meet.  This cross-checks the combinatorial product by a completely
 different route.
+
+numpy is imported inside the functions that use it, so importing the
+package, and every command that never reaches the oracle, goes without it.
 
 One size guard, n^d <= DEFAULT_MAX_TENSOR_DIM (10_000), read at call
 time, protects against accidental exponential blowups; exceeding it raises
@@ -22,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .basis import (
     Matrix,
@@ -38,6 +43,9 @@ from .basis import (
     words_of_content,
 )
 from .multiplication import _basis_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_TENSOR_DIM = 10_000
 
@@ -67,20 +75,31 @@ def _weight_space(mu: tuple[int, ...]) -> dict[MultiIndex, int]:
     return {word: k for k, word in enumerate(words_of_content(mu))}
 
 
-def _operator_blocks(terms: dict[Matrix, Scalar]) -> dict:
-    """The operator of sum c * xi_D, one matrix per (row sums, column sums)
-    block: each term is 0/1 on its block times c, int64 for an ``int`` c and
-    exact object dtype otherwise.  An image outside the block raises
+def _basis_stack(key: tuple, members: Sequence[Matrix]) -> np.ndarray:
+    """The operators of the basis indices ``members``, all of weight key
+    ``key`` = (row sums, column sums), as one 0/1 int64 stack: entry
+    [k, r, c] is 1 iff members[k] sends the c-th word of content key[1] to
+    the r-th word of content key[0].  An image outside the block raises
     KeyError instead of being dropped."""
+    import numpy as np
+
+    rows, cols = map(_weight_space, key)
+    stack = np.zeros((len(members), len(rows), len(cols)), np.int64)
+    for k, D in enumerate(members):
+        for col, word in enumerate(cols):
+            for image in apply_basis(D, word):
+                stack[k, rows[image], col] = 1
+    return stack
+
+
+def _operator_blocks(terms: dict[Matrix, Scalar]) -> dict:
+    """The operator of sum c * xi_D, one exact (object dtype) matrix per
+    (row sums, column sums) block: each term is its 0/1 block times c."""
     blocks: dict = {}
     for D, coeff in terms.items():
         key = (row_sums(D), col_sums(D))
-        rows, cols = map(_weight_space, key)
-        block = np.zeros((len(rows), len(cols)), np.int64 if type(coeff) is int else object)
-        for col, word in enumerate(cols):
-            for image in apply_basis(D, word):
-                block[rows[image], col] = 1
-        blocks[key] = blocks.get(key, 0) + block * coeff
+        block = _basis_stack(key, (D,))[0].astype(object) * coeff
+        blocks[key] = blocks.get(key, 0) + block
     return blocks
 
 
@@ -108,6 +127,8 @@ def dense_operator(x: SchurElement) -> np.ndarray:
     Rows are output words, columns input words, both in lexicographic
     order.
     """
+    import numpy as np
+
     dim = check_tensor_dimension(x.n, x.d)
     pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
     M = np.zeros((dim, dim), dtype=object)
@@ -132,16 +153,41 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     """Compare the combinatorial product against operator composition for
-    every ordered basis pair; return the first mismatching pair, or None.
+    every ordered basis pair; return the first mismatching pair in key
+    order, or None.
 
-    A pair whose weights do not meet composes to nothing, so its product
-    must be empty too.  Basis blocks are 0/1 and int64: every composite
-    entry is at most n^d <= guard, so the integer arithmetic is exact.
+    The basis is grouped by weight key (row sums, column sums), in order of
+    first appearance, and the pairs are visited key pair by key pair, each
+    in basis order.  Where the left factor's row sums are the right
+    factor's column sums, the keys meet: one einsum over the two 0/1 int64
+    stacks forms every composite of the key pair, read only at the
+    canonical cells of the target block.  A pair whose keys do not meet
+    composes to nothing, so its product must be empty too; the whole key
+    pair is asserted empty in one pass.  Every composite entry counts words
+    of one content, at most n^d <= guard, so the int64 arithmetic is exact.
     """
+    import numpy as np
+
     check_tensor_dimension(n, d)
-    B = [(D, _operator_blocks({D: 1})) for D in enumerate_basis(n, d)]
-    for Dx, x_blocks in B:
-        for Dy, y_blocks in B:
-            if _compose(x_blocks, y_blocks) != dict(_basis_product(Dx, Dy)):
-                return Dx, Dy
+    keyed: dict[tuple, list[Matrix]] = {}
+    for D in enumerate_basis(n, d):
+        keyed.setdefault((row_sums(D), col_sums(D)), []).append(D)
+    stacks = {key: _basis_stack(key, members) for key, members in keyed.items()}
+    for (middle, source), xs in keyed.items():
+        for (target, inner), ys in keyed.items():
+            if inner != middle:
+                pairs = itertools.product(xs, ys)
+                if any(itertools.starmap(_basis_product, pairs)):
+                    return next(p for p in itertools.product(xs, ys) if _basis_product(*p))
+                continue
+            block = weight_block(target, source)
+            rows, cols = _weight_space(target), _weight_space(source)
+            tops = stacks[target, middle][:, [rows[top] for _, top, _ in block]]
+            bottoms = stacks[middle, source][:, :, [cols[bottom] for _, _, bottom in block]]
+            composites = np.einsum("jpm,imp->ijp", tops, bottoms).tolist()
+            for Dx, row in zip(xs, composites):
+                for Dy, coeffs in zip(ys, row):
+                    expansion = {P: c for (P, _, _), c in zip(block, coeffs) if c}
+                    if expansion != dict(_basis_product(Dx, Dy)):
+                        return Dx, Dy
     return None

@@ -13,6 +13,7 @@ from schuralg.basis import (
     col_sums,
     content,
     enumerate_basis,
+    generator_indices,
     identity_element,
     matrix_from_pair,
     row_sums,
@@ -122,6 +123,94 @@ def test_weight_blocks_partition_the_basis(n, d):
                 assert (top, bottom) == canonical_pair(D)
                 seen.append(D)
     assert sorted(seen) == list(enumerate_basis(n, d))
+
+
+def filtered_weight_block(rows, cols):
+    """Independent route: every word of content ``cols``, kept when it is
+    nondecreasing along each run of equal letters in the sorted top word."""
+    top = next(words_of_content(rows))
+    runs = [k for k in range(1, len(top)) if top[k - 1] == top[k]]
+    return tuple(
+        (matrix_from_pair(top, bottom, len(rows)), top, bottom)
+        for bottom in words_of_content(cols)
+        if all(bottom[k - 1] <= bottom[k] for k in runs)
+    )
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 4), (4, 3)])
+def test_weight_block_matches_filter_in_order(n, d):
+    weights = list(compositions(d, (d,) * n))
+    for rows in weights:
+        for cols in weights:
+            assert weight_block(rows, cols) == filtered_weight_block(rows, cols)
+
+
+def test_weight_block_matches_filter_on_square_blocks():
+    for rows in compositions(8, (8,) * 3):
+        assert weight_block(rows, rows) == filtered_weight_block(rows, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [((2, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 0), (1, 1, 0)), ((1, 1, 0), (2, 0))]
+)
+def test_weight_block_refuses_sums_that_differ(rows, cols):
+    with pytest.raises(ValueError):
+        weight_block(rows, cols)
+
+
+# ------------------------------------------------------------- generators
+
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (3, 1), (3, 3), (4, 2)])
+def test_generator_count(n, d):
+    weights = comb(n + d - 1, d)
+    shorter = comb(n + d - 2, d - 1) if d else 0
+    indices = generator_indices(n, d)
+    assert len(indices) == len(set(indices)) == weights + 2 * (n - 1) * shorter
+    assert all(D in enumerate_basis(n, d) for D in indices)
+    assert sum(map(is_diagonal, indices)) == weights
+    for D in indices:
+        off = [(a, b) for a in range(n) for b in range(n) if a != b and D[a][b]]
+        assert is_diagonal(D) or (len(off) == 1 and abs(off[0][0] - off[0][1]) == 1
+                                  and D[off[0][0]][off[0][1]] == 1)
+
+
+def span_closure_dimension(indices) -> int:
+    """Dimension of the subalgebra generated by the given basis indices:
+    close their span under right multiplication by them, reducing each new
+    product against pivots keyed by leading index."""
+    gens = [basis_element(D) for D in indices]
+    pivots: dict = {}
+
+    def independent(x: SchurElement) -> bool:
+        while not x.is_zero():
+            lead = max(x.terms)
+            if lead not in pivots:
+                pivots[lead] = x
+                return True
+            p = pivots[lead]
+            x = x - p.scale(x.terms[lead] / p.terms[lead])
+        return False
+
+    frontier = [g for g in gens if independent(g)]
+    while frontier:
+        frontier = [xg for x in frontier for g in gens if independent(xg := multiply(x, g))]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 5)])
+def test_generators_generate_the_algebra(n, d):
+    assert span_closure_dimension(generator_indices(n, d)) == basis_count(n, d)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3)])
+def test_generator_closure_needs_both_orientations(n, d):
+    # the closure is not vacuous: the weight idempotents alone span only
+    # themselves, and the units above the diagonal alone miss the rest
+    diagonal = [D for D in generator_indices(n, d) if is_diagonal(D)]
+    upper = [D for D in generator_indices(n, d) if all(
+        not D[a][b] for a in range(n) for b in range(a))]
+    assert span_closure_dimension(diagonal) == len(diagonal)
+    assert len(diagonal) < span_closure_dimension(upper) < basis_count(n, d)
 
 
 # --------------------------------------------------------- pairs <-> matrices

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -9,14 +10,17 @@ import schuralg.basis
 import schuralg.centre
 import schuralg.cli
 import schuralg.partitions
+import schuralg.verification
 from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
     basis_element,
     canonical_pair,
+    col_sums,
     enumerate_basis,
     identity_element,
     matrix_from_pair,
+    row_sums,
     weight_block,
 )
 from schuralg.centre import (
@@ -26,6 +30,7 @@ from schuralg.centre import (
     centre_basis_element,
     centre_dimension,
     class_coefficient,
+    commutes_with_generators,
     is_central,
     primitive_idempotent,
 )
@@ -40,7 +45,10 @@ from schuralg.partitions import (
     tableaux_count,
 )
 from schuralg.verification import (
+    FAIL,
+    PASS,
     check_action_convention,
+    check_centrality,
     check_row_sum_law,
     first_non_idempotent,
     first_non_orthogonal_pair,
@@ -306,6 +314,79 @@ def test_is_central_rejects_offdiagonal_basis_elements():
     for D in enumerate_basis(2, 2):
         if not is_diagonal(D):
             assert not is_central(basis_element(D))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_generator_route_agrees_with_full_basis(n, d):
+    # class sums and their rational combinations (central), the same with
+    # one square-block term added, uniform random elements and every
+    # off-diagonal basis element: both routes give the same verdict
+    rng = random.Random(14)
+    B = enumerate_basis(n, d)
+    square = [D for D in B if row_sums(D) == col_sums(D)]
+    sums = [centre_basis_element(shape, n, d) for shape in partitions_of(d)]
+    elements = list(sums)
+    for _ in range(4):
+        central = sum(
+            (z.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for z in sums),
+            SchurElement.zero(n, d),
+        )
+        elements.append(central)
+        elements.append(central + basis_element(rng.choice(square)))
+        elements.append(SchurElement(n, d, {
+            D: Fraction(rng.randint(1, 5), rng.randint(1, 3)) for D in rng.sample(B, 3)
+        }))
+    elements += [basis_element(D) for D in B if not is_diagonal(D)]
+    verdicts = [is_central(x) for x in elements]
+    assert [commutes_with_generators(x) for x in elements] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+def test_centrality_check_fails_on_a_non_central_class_sum(monkeypatch):
+    n, d = 3, 3
+    assert check_centrality(n, d).status == PASS
+    real = schuralg.verification.centre_basis_element
+    D = ((2, 1, 0), (0, 0, 0), (0, 0, 0))  # row sums (3, 0, 0), column sums (2, 1, 0)
+
+    def with_off_diagonal_term(shape, n, d):
+        return real(shape, n, d) + basis_element(D)
+
+    monkeypatch.setattr(schuralg.verification, "centre_basis_element", with_off_diagonal_term)
+    assert check_centrality(n, d).status == FAIL
+
+
+def test_centrality_check_never_enumerates_the_basis(monkeypatch):
+    expected = check_centrality(3, 4)
+
+    def refuse(n, d):
+        raise AssertionError("the whole basis was enumerated")
+
+    for module in (schuralg.basis, schuralg.centre, schuralg.verification):
+        monkeypatch.setattr(module, "enumerate_basis", refuse)
+    assert check_centrality(3, 4) == expected
+    assert expected.status == PASS
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 4), (3, 6)])
+def test_centre_elements_match_validated_construction(n, d):
+    square = [D for D in enumerate_basis(n, d) if row_sums(D) == col_sums(D)]
+    shapes = partitions_of(d)
+    sums = {shape: centre_basis_element(shape, n, d) for shape in shapes}
+    for shape, z in sums.items():
+        assert z == SchurElement(n, d, {D: class_coefficient(shape, D) for D in square})
+        assert all(type(c) is Fraction and c for c in z.terms.values())
+        e = primitive_idempotent(shape, n, d)
+        validated = sum(
+            (sums[mu].scale(Fraction(tableaux_count(shape) * character(shape, mu), factorial(d)))
+             for mu in shapes),
+            SchurElement.zero(n, d),
+        )
+        assert e == validated
+        assert all(type(c) is Fraction and c for c in e.terms.values())
+
+
+def test_pair_count_cache_is_bounded():
+    assert _pair_count.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------- idempotents

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schuralg
 from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
@@ -164,6 +169,69 @@ def test_mismatch_found_on_wrong_coefficient(monkeypatch):
         monkeypatch, (Dx, Dy), lambda product: ((product[0][0], product[0][1] + 1), *product[1:])
     )
     assert find_product_mismatch(2, 2) == (Dx, Dy)
+
+
+def test_mismatch_found_on_meeting_pair_outside_the_first_key(monkeypatch):
+    n, d = 3, 3
+    first = enumerate_basis(n, d)[0]
+    Dx, Dy = ((3, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 0, 0), (1, 0, 0), (1, 0, 0))
+    assert (row_sums(Dx), col_sums(Dx)) != (row_sums(first), col_sums(first))
+    assert row_sums(Dx) == col_sums(Dy)
+    _patch_one_product(
+        monkeypatch, (Dx, Dy), lambda product: ((product[0][0], product[0][1] + 1), *product[1:])
+    )
+    assert find_product_mismatch(n, d) == (Dx, Dy)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3)])
+def test_every_ordered_pair_is_compared(monkeypatch, n, d):
+    # a fault injected on any one ordered pair, whether the keys meet or
+    # not, is reported at that pair
+    B = enumerate_basis(n, d)
+    real = oracle._basis_product
+    for pair in itertools.product(B, repeat=2):
+
+        def patched(Dx, Dy, pair=pair):
+            product = real(Dx, Dy)
+            if (Dx, Dy) != pair:
+                return product
+            if not product:
+                return ((Dx, 1),)
+            return ((product[0][0], product[0][1] + 1), *product[1:])
+
+        monkeypatch.setattr(oracle, "_basis_product", patched)
+        assert find_product_mismatch(n, d) == pair
+
+
+def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
+    # two injected faults: the pair whose left key comes first is reported
+    n, d = 2, 3
+    early = (((0, 0), (0, 3)), ((0, 0), (0, 3)))  # the first basis key
+    late = (((3, 0), (0, 0)), ((3, 0), (0, 0)))
+    real = oracle._basis_product
+
+    def patched(Dx, Dy):
+        product = real(Dx, Dy)
+        if (Dx, Dy) in (early, late):
+            return ((product[0][0], product[0][1] + 1),)
+        return product
+
+    monkeypatch.setattr(oracle, "_basis_product", patched)
+    assert find_product_mismatch(n, d) == early
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported inside the oracle functions that use it, so a CLI
+    # command that never reaches the oracle does not load it
+    src = str(Path(schuralg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for code in (
+        "import sys, schuralg; sys.exit('numpy' in sys.modules)",
+        "import sys, schuralg.cli as c; c.main(['dim', '--n', '2', '--d', '3']);"
+        " sys.exit('numpy' in sys.modules)",
+    ):
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True).returncode == 0
 
 
 def test_guard_rejects_large_word_space():
