@@ -245,18 +245,22 @@ def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
     n, d = check_matrix(entries)
     if len(word) != d:
         raise ValueError(f"word length {len(word)} != entry sum {d}")
-    word_content = content(word, n)
-    if col_sums(entries) != word_content:
+    if col_sums(entries) != content(word, n):
         return {}
-    positions = [[k for k in range(d) if word[k] == b + 1] for b in range(n)]
-    out: dict[MultiIndex, int] = {}
-    image = [0] * d
+    return dict.fromkeys(_word_images(entries, word), 1)
+
+
+def _word_images(entries: Matrix, word: MultiIndex) -> Iterator[MultiIndex]:
+    """The distinct images of a word whose content is the column sums of
+    ``entries``, as ``apply_basis`` lists them; nothing is validated."""
+    letters = range(1, len(entries) + 1)
+    positions = [[k for k, letter in enumerate(word) if letter == b] for b in letters]
+    image = [0] * len(word)
     for arrangements in itertools.product(*map(words_of_content, zip(*entries))):
         for cells, arrangement in zip(positions, arrangements):
             for pos, letter in zip(cells, arrangement):
                 image[pos] = letter
-        out[tuple(image)] = 1
-    return out
+        yield tuple(image)
 
 
 def _coerce_scalar(value: Scalar) -> Fraction:

@@ -31,6 +31,13 @@ margin's tables and weights are built once, and the middles are folded in
 one by one over a dict keyed by the partial sum.  ``euler_classes`` and
 ``structure_constant`` remain independent routes to the same numbers.
 
+The expansion of each basis pair is cached (``_basis_product``), and each
+output index is built through the bounded ``_shared_matrix`` memo, keyed
+by its flat entries, so the cached expansions and the products of
+``multiply`` hold one tuple per matrix instead of one per term.  The
+oracle's all-pairs check calls the uncached core and leaves the product
+cache empty.
+
 Orientation is load-bearing and locked by the regression tests: in x * y
 the LEFT factor acts first on words, so the composite's column sums (input
 content) come from x and its row sums (output content) come from y.  On
@@ -44,7 +51,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, isqrt, lcm, prod
 from operator import add
 from typing import Sequence
 
@@ -123,12 +130,21 @@ def _margin_tables(
     )
 
 
+@lru_cache(maxsize=4096)
+def _shared_matrix(flat: tuple[int, ...]) -> Matrix:
+    """The matrix with row-major entries ``flat``, one object per entry
+    tuple while it stays cached; eviction only loses sharing."""
+    n = isqrt(len(flat))
+    return tuple(flat[r:r + n] for r in range(0, n * n, n))
+
+
 @lru_cache(maxsize=None)
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """Expansion of the product of two basis indices; both come from
     ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated.
     The middle vertices are folded in by the convolution in the module
-    docstring, with each margin's weighted tables from ``_margin_tables``."""
+    docstring, with each margin's weighted tables from ``_margin_tables``,
+    and each output index is built through ``_shared_matrix``."""
     if row_sums(left) != col_sums(right):
         return ()
     n = len(left)
@@ -145,8 +161,7 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
         partial = folded
     x_fact = prod(map(factorial, sum(left, ())))
     return tuple(sorted(
-        (tuple(flat[r:r + n] for r in range(0, n * n, n)),
-         prod(map(factorial, flat)) * c // x_fact)
+        (_shared_matrix(flat), prod(map(factorial, flat)) * c // x_fact)
         for flat, c in partial.items()
     ))
 

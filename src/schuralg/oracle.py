@@ -14,7 +14,11 @@ coefficient.  ``find_product_mismatch`` does this for every basis pair at
 once, weight key pair by weight key pair: the 0/1 int64 operators of one
 key are stacked, and one einsum forms every composite of two keys that
 meet.  This cross-checks the combinatorial product by a completely
-different route.
+different route.  It compares against ``_uncached_product``, the product
+core without its cache: each ordered pair is visited once, so the check
+leaves nothing in the product cache.  The operator stacks list each
+word's images through the unvalidated ``basis._word_images``, since
+their indices come from ``enumerate_basis``.
 
 numpy is imported inside the functions that use it, so importing the
 package, and every command that never reaches the oracle, goes without it.
@@ -35,7 +39,7 @@ from .basis import (
     MultiIndex,
     Scalar,
     SchurElement,
-    apply_basis,
+    _word_images,
     col_sums,
     enumerate_basis,
     row_sums,
@@ -48,6 +52,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_MAX_TENSOR_DIM = 10_000
+
+# The checked route without its cache: the all-pairs check visits each
+# ordered pair once, so caching its products would only hold memory.
+_uncached_product = _basis_product.__wrapped__
 
 
 class TensorDimensionError(RuntimeError):
@@ -87,7 +95,7 @@ def _basis_stack(key: tuple, members: Sequence[Matrix]) -> np.ndarray:
     stack = np.zeros((len(members), len(rows), len(cols)), np.int64)
     for k, D in enumerate(members):
         for col, word in enumerate(cols):
-            for image in apply_basis(D, word):
+            for image in _word_images(D, word):
                 stack[k, rows[image], col] = 1
     return stack
 
@@ -177,8 +185,8 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
         for (target, inner), ys in keyed.items():
             if inner != middle:
                 pairs = itertools.product(xs, ys)
-                if any(itertools.starmap(_basis_product, pairs)):
-                    return next(p for p in itertools.product(xs, ys) if _basis_product(*p))
+                if any(itertools.starmap(_uncached_product, pairs)):
+                    return next(p for p in itertools.product(xs, ys) if _uncached_product(*p))
                 continue
             block = weight_block(target, source)
             rows, cols = _weight_space(target), _weight_space(source)
@@ -188,6 +196,6 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
             for Dx, row in zip(xs, composites):
                 for Dy, coeffs in zip(ys, row):
                     expansion = {P: c for (P, _, _), c in zip(block, coeffs) if c}
-                    if expansion != dict(_basis_product(Dx, Dy)):
+                    if expansion != dict(_uncached_product(Dx, Dy)):
                         return Dx, Dy
     return None

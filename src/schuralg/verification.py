@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .basis import (
+    MultiIndex,
     SchurElement,
     basis_count,
     canonical_pair,
@@ -23,6 +24,7 @@ from .basis import (
     row_sums,
 )
 from .centre import (
+    _cycle_type_histogram,
     centre_basis_element,
     class_coefficient,
     commutes_with_generators,
@@ -156,16 +158,22 @@ def check_row_sum_law(n: int, d: int) -> CheckResult:
     matrices over all tops t are the same multiset for b and for pi.b.  The
     sorted words come in lexicographic order and each is the first word of
     its content, so the first failure is the one a scan of every word finds.
+
+    The class coefficient of shape s at the matrix of (top, bottom) is the
+    count of s in the cycle-type histogram of that matrix's canonical pair,
+    so one histogram per (top, bottom) serves every shape.
     """
-    tops = all_words(n, d)
+    sums: dict[MultiIndex, dict[Partition, int]] = {}
+    for bottom in itertools.combinations_with_replacement(range(1, n + 1), d):
+        totals = sums[bottom] = {}
+        for top in all_words(n, d):
+            pair = canonical_pair(matrix_from_pair(top, bottom, n))
+            for shape, count in _cycle_type_histogram(*pair).items():
+                totals[shape] = totals.get(shape, 0) + count
     for shape in partitions_of(d):
         expected = class_size(shape)
-        for bottom in itertools.combinations_with_replacement(range(1, n + 1), d):
-            got = sum(
-                class_coefficient(shape, matrix_from_pair(top, bottom, n))
-                for top in tops
-            )
-            if got != expected:
+        for bottom, totals in sums.items():
+            if (got := totals.get(shape, 0)) != expected:
                 return _result(
                     "row-sum-law", False, f"shape {shape}, word {bottom}: {got}"
                 )

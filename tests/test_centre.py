@@ -269,12 +269,16 @@ def test_row_sum_law_small():
 
 def test_row_sum_law_catches_a_wrong_coefficient(monkeypatch):
     # one bottom word per content is visited, and the failure is reported at
-    # the word a scan of every word meets first
-    def off_by_one(shape, M):
-        wrong = shape == (2, 1) and M == ((1, 1), (0, 1))
-        return class_coefficient(shape, M) + wrong
+    # the word a scan of every word meets first; the histogram of the
+    # canonical pair of ((1, 1), (0, 1)) gets one extra carrier of type (2, 1)
+    def off_by_one(top, bottom):
+        histogram = _cycle_type_histogram(top, bottom)
+        if (top, bottom) != ((1, 1, 2), (1, 2, 2)):
+            return histogram
+        return {**histogram, (2, 1): histogram.get((2, 1), 0) + 1}
 
-    monkeypatch.setattr("schuralg.verification.class_coefficient", off_by_one)
+    assert canonical_pair(((1, 1), (0, 1))) == ((1, 1, 2), (1, 2, 2))
+    monkeypatch.setattr("schuralg.verification._cycle_type_histogram", off_by_one)
     result = check_row_sum_law(2, 3)
     assert result.status == "fail"
     assert result.detail == "shape (2, 1), word (1, 2, 2): 5"

@@ -1,7 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from schuralg.multiplication import (
     _basis_product,
     _contingency_tables,
     _margin_tables,
+    _shared_matrix,
     class_multiplicity,
     compositions,
     euler_classes,
@@ -159,6 +161,55 @@ def test_basis_product_matches_class_sum(n, d):
         got = _basis_product(x, y)
         assert got == tuple(sorted(grouped.items()))
         assert all(type(c) is int for _, c in got)
+
+
+def sliced_basis_product(left, right):
+    """The convolution of ``_basis_product`` with each output index sliced
+    afresh from its flat entries, the build before output indices were
+    shared."""
+    if row_sums(left) != col_sums(right):
+        return ()
+    n = len(left)
+    partial = {(0,) * (n * n): 1}
+    for col, row in zip(zip(*right), left):
+        if not any(row):
+            continue
+        folded = {}
+        for S, c in partial.items():
+            for T, w in _margin_tables(col, row):
+                key = tuple(map(add, S, T))
+                folded[key] = folded.get(key, 0) + c * w
+        partial = folded
+    x_fact = prod(map(factorial, sum(left, ())))
+    return tuple(sorted(
+        (tuple(flat[r:r + n] for r in range(0, n * n, n)),
+         prod(map(factorial, flat)) * c // x_fact)
+        for flat, c in partial.items()
+    ))
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
+def test_shared_build_equals_sliced_build(n, d):
+    for x, y in itertools.product(enumerate_basis(n, d), repeat=2):
+        assert _basis_product(x, y) == sliced_basis_product(x, y)
+    _basis_product.cache_clear()
+
+
+def test_expansions_share_output_matrices():
+    # equal output indices of different products are one object, in the
+    # cached expansions and in multiply's results alike
+    assert _shared_matrix.cache_info().maxsize is not None
+    _basis_product.cache_clear()
+    _shared_matrix.cache_clear()
+    seen, repeats = {}, 0
+    B = enumerate_basis(2, 3)
+    for x, y in itertools.product(B, repeat=2):
+        for P, _ in _basis_product(x, y):
+            repeats += P in seen
+            assert seen.setdefault(P, P) is P
+        for P in multiply(basis_element(x), basis_element(y)).terms:
+            assert seen[P] is P
+    assert repeats > 0
 
 
 def test_margin_cache_is_bounded_and_reused():

@@ -21,7 +21,7 @@ from schuralg.basis import (
     row_sums,
     weight_block,
 )
-from schuralg.multiplication import compositions, multiply
+from schuralg.multiplication import _basis_product, compositions, multiply
 from schuralg.oracle import (
     TensorDimensionError,
     all_words,
@@ -131,13 +131,35 @@ def test_batch_mismatch_search_clean():
         assert find_product_mismatch(n, d) is None
 
 
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 6)])
+def test_mismatch_search_leaves_the_product_cache_empty(n, d):
+    # every ordered pair is checked against the uncached product core
+    _basis_product.cache_clear()
+    assert find_product_mismatch(n, d) is None
+    assert _basis_product.cache_info().currsize == 0
+
+
+def test_basis_stack_does_not_revalidate(monkeypatch):
+    # the stacked indices come from enumerate_basis, so no index is checked
+    # again and no word's content is recounted
+    def refuse(*args):
+        raise RuntimeError("validation inside the operator stack")
+
+    key = ((2, 1), (1, 2))
+    members = [D for D, _, _ in weight_block(*key)]
+    expected = oracle._basis_stack(key, members)
+    monkeypatch.setattr("schuralg.basis.check_matrix", refuse)
+    monkeypatch.setattr("schuralg.basis.content", refuse)
+    assert np.array_equal(oracle._basis_stack(key, members), expected)
+
+
 def test_image_outside_weight_space_raises(monkeypatch):
-    real = oracle.apply_basis
+    real = oracle._word_images
 
     def leaky(D, word):
-        return {**real(D, word), (1,) * len(word): 1}
+        return [*real(D, word), (1,) * len(word)]
 
-    monkeypatch.setattr(oracle, "apply_basis", leaky)
+    monkeypatch.setattr(oracle, "_word_images", leaky)
     D = ((0, 1), (1, 1))  # row sums (1, 2): the word (1, 1, 1) is outside
     with pytest.raises(KeyError):
         dense_operator(basis_element(D))
@@ -146,13 +168,13 @@ def test_image_outside_weight_space_raises(monkeypatch):
 
 
 def _patch_one_product(monkeypatch, pair, rewrite):
-    real = oracle._basis_product
+    real = oracle._uncached_product
 
     def patched(Dx, Dy):
         product = real(Dx, Dy)
         return rewrite(product) if (Dx, Dy) == pair else product
 
-    monkeypatch.setattr(oracle, "_basis_product", patched)
+    monkeypatch.setattr(oracle, "_uncached_product", patched)
 
 
 def test_mismatch_found_on_pair_whose_weights_do_not_meet(monkeypatch):
@@ -188,7 +210,7 @@ def test_every_ordered_pair_is_compared(monkeypatch, n, d):
     # a fault injected on any one ordered pair, whether the keys meet or
     # not, is reported at that pair
     B = enumerate_basis(n, d)
-    real = oracle._basis_product
+    real = oracle._uncached_product
     for pair in itertools.product(B, repeat=2):
 
         def patched(Dx, Dy, pair=pair):
@@ -199,7 +221,7 @@ def test_every_ordered_pair_is_compared(monkeypatch, n, d):
                 return ((Dx, 1),)
             return ((product[0][0], product[0][1] + 1), *product[1:])
 
-        monkeypatch.setattr(oracle, "_basis_product", patched)
+        monkeypatch.setattr(oracle, "_uncached_product", patched)
         assert find_product_mismatch(n, d) == pair
 
 
@@ -208,7 +230,7 @@ def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
     n, d = 2, 3
     early = (((0, 0), (0, 3)), ((0, 0), (0, 3)))  # the first basis key
     late = (((3, 0), (0, 0)), ((3, 0), (0, 0)))
-    real = oracle._basis_product
+    real = oracle._uncached_product
 
     def patched(Dx, Dy):
         product = real(Dx, Dy)
@@ -216,7 +238,7 @@ def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
             return ((product[0][0], product[0][1] + 1),)
         return product
 
-    monkeypatch.setattr(oracle, "_basis_product", patched)
+    monkeypatch.setattr(oracle, "_uncached_product", patched)
     assert find_product_mismatch(n, d) == early
 
 
