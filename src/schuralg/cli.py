@@ -57,7 +57,7 @@ from .partitions import class_size, character, partitions_of
 from .verification import (
     FAIL,
     first_non_idempotent,
-    first_non_orthogonal_pair,
+    idempotent_law_failures,
     run_suite,
     sums_to_identity,
 )
@@ -182,14 +182,17 @@ def _cmd_centre(args: argparse.Namespace) -> int:
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     eps = {s: primitive_idempotent(s, args.n, args.d) for s in _selected_shapes(args)}
     lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()]
-    checks = {"idempotent": first_non_idempotent(eps) is None}
-    lines.append(f"idempotent: {checks['idempotent']}")
     if args.shape is None:
-        # pairwise laws only make sense over the complete family
-        checks["orthogonal"] = first_non_orthogonal_pair(eps) is None
-        checks["resolution_of_identity"] = sums_to_identity(eps, args.n, args.d)
-        lines.append(f"orthogonal: {checks['orthogonal']}")
-        lines.append(f"sums to identity: {checks['resolution_of_identity']}")
+        shape, pair = idempotent_law_failures(eps, args.n, args.d)
+        checks = {
+            "idempotent": shape is None,
+            "orthogonal": pair is None,
+            "resolution_of_identity": sums_to_identity(eps, args.n, args.d),
+        }
+    else:  # one shape: the pairwise laws need the complete family
+        checks = {"idempotent": first_non_idempotent(eps) is None}
+    labels = {"resolution_of_identity": "sums to identity"}
+    lines += [f"{labels.get(name, name)}: {ok}" for name, ok in checks.items()]
     payload = {
         "idempotents": [
             {"partition": list(s), "element": element_to_json(e)} for s, e in eps.items()

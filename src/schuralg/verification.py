@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .basis import (
+    Matrix,
     MultiIndex,
     SchurElement,
     basis_count,
@@ -220,6 +222,67 @@ def first_non_orthogonal_pair(
     )
 
 
+def idempotent_law_failures(
+    eps: dict[Partition, SchurElement], n: int, d: int
+) -> tuple[Partition | None, tuple[Partition, Partition] | None]:
+    """The first non-idempotent shape and the first non-orthogonal ordered
+    pair, as ``first_non_idempotent`` and ``first_non_orthogonal_pair`` name
+    them, or None for each law that holds; the laws are checked with one
+    exact product by Kronecker substitution.
+
+    A zero element obeys every law, so only the p nonzero elements
+    e_0..e_{p-1} enter.  With L the lcm of all their coefficients'
+    denominators, E_i = L e_i has integer coefficients, and the laws
+    e_i e_j = delta_ij e_i read E_i E_j = delta_ij L E_i.  Let S be the
+    largest l1 norm of an E_i and B = 2 (n^d S^2 + L S) + 1.  Then
+
+        X = sum_i B^i E_i,   Y = sum_j B^(p j) E_j,
+        Z = sum_i L B^(i + p i) E_i,
+
+    and by bilinearity X Y - Z = sum_(i,j) B^(i + p j) F_ij with
+    F_ij = E_i E_j - delta_ij L E_i.  A structure constant counts middle
+    words, so it is at most n^d; a coefficient of E_i E_j is then at most
+    n^d S^2 and one of L E_i at most L S in absolute value, so each
+    coefficient of F_ij is below B/2.  The exponents i + p j are
+    distinct, so each coefficient of X Y - Z is a base-B expansion whose
+    digits, the coefficients of the F_ij, are below B/2 in absolute value.
+    Such an expansion is zero only if every digit is: its top nonzero digit
+    at B^k outweighs the rest, which is at most (B^k - 1)/2.  So X Y == Z
+    iff every law holds; there is no probability of a false pass.
+
+    Only when the identity fails are the laws scanned pair by pair, so the
+    names are the ones the exhaustive functions give.
+    """
+    nonzero = [e for e in eps.values() if not e.is_zero()]
+    p = len(nonzero)
+    scale = lcm(*(c.denominator for e in nonzero for c in e.terms.values()))
+    scaled = [
+        {D: c.numerator * (scale // c.denominator) for D, c in e.terms.items()}
+        for e in nonzero
+    ]
+    norm = max((sum(map(abs, E.values())) for E in scaled), default=0)
+    base = 2 * (n**d * norm * norm + scale * norm) + 1
+    x: dict[Matrix, int] = {}
+    y: dict[Matrix, int] = {}
+    z: dict[Matrix, int] = {}
+    for i, E in enumerate(scaled):
+        bx, by = base**i, base ** (p * i)
+        bz = scale * bx * by
+        for D, c in E.items():
+            x[D] = x.get(D, 0) + bx * c
+            y[D] = y.get(D, 0) + by * c
+            z[D] = z.get(D, 0) + bz * c
+    if multiply(_integral(x, n, d), _integral(y, n, d)) == _integral(z, n, d):
+        return None, None
+    return first_non_idempotent(eps), first_non_orthogonal_pair(eps)
+
+
+def _integral(terms: dict[Matrix, int], n: int, d: int) -> SchurElement:
+    """The element with the given integer coefficients, zeros dropped; the
+    keys come from elements of S(n,d), so they are not re-validated."""
+    return SchurElement._trusted(n, d, {D: Fraction(c) for D, c in terms.items() if c})
+
+
 def sums_to_identity(eps: dict[Partition, SchurElement], n: int, d: int) -> bool:
     """True iff the elements sum to the identity of S(n,d)."""
     return sum(eps.values(), SchurElement.zero(n, d)) == identity_element(n, d)
@@ -231,9 +294,10 @@ def check_idempotents(n: int, d: int) -> CheckResult:
     for s in shapes:
         if len(s) > n and not eps[s].is_zero():
             return _result("idempotents", False, f"{s} has >{n} parts but is nonzero")
-    if (s := first_non_idempotent(eps)) is not None:
+    s, pair = idempotent_law_failures(eps, n, d)
+    if s is not None:
         return _result("idempotents", False, f"{s} not idempotent")
-    if (pair := first_non_orthogonal_pair(eps)) is not None:
+    if pair is not None:
         return _result("idempotents", False, f"{pair[0]},{pair[1]} not orthogonal")
     if not sums_to_identity(eps, n, d):
         return _result("idempotents", False, "resolution of identity failed")

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from schuralg.centre import (
     is_central,
     primitive_idempotent,
 )
+from schuralg.formats import canonical_json, element_to_json, format_element, format_partition
 from schuralg.multiplication import compositions, multiply
 from schuralg.partitions import (
     character,
@@ -49,9 +50,11 @@ from schuralg.verification import (
     PASS,
     check_action_convention,
     check_centrality,
+    check_idempotents,
     check_row_sum_law,
     first_non_idempotent,
     first_non_orthogonal_pair,
+    idempotent_law_failures,
     sums_to_identity,
 )
 
@@ -427,6 +430,111 @@ def test_idempotent_laws_report_the_first_violation():
     overlap = {**eps, (1, 1, 1): eps[(3,)]}
     assert first_non_orthogonal_pair(overlap) == ((3,), (1, 1, 1))
     assert not sums_to_identity({(3,): eps[(3,)]}, 2, 3)
+
+
+def idempotent_family(n, d):
+    return {s: primitive_idempotent(s, n, d) for s in partitions_of(d)}
+
+
+def broken_families(eps, n, d):
+    """Families that break a law, each named: one element scaled by 2, e_a
+    replaced by e_a + e_b, and one coefficient shifted by 1/(2L), with L the
+    lcm of every denominator, which changes the common denominator."""
+    nonzero = [s for s, e in eps.items() if not e.is_zero()]
+    a, b = nonzero[0], nonzero[-1]
+    L = lcm(*(c.denominator for e in eps.values() for c in e.terms.values()))
+    D = eps[a].support()[0]
+    shift = SchurElement(n, d, {D: Fraction(1, 2 * L)})
+    yield "scaled", {**eps, b: eps[b].scale(2)}
+    yield "sum", {**eps, a: eps[a] + eps[b]}
+    yield "shifted", {**eps, a: eps[a] + shift}
+
+
+def exhaustive_laws(eps):
+    return first_non_idempotent(eps), first_non_orthogonal_pair(eps)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (2, 4), (3, 3), (3, 4), (2, 6), (2, 0)])
+def test_one_product_law_check_accepts_the_idempotents(monkeypatch, n, d):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(schuralg.verification, "multiply", counted)
+    eps = idempotent_family(n, d)
+    assert idempotent_law_failures(eps, n, d) == (None, None)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert exhaustive_laws(eps) == (None, None)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_one_product_law_check_rejects_broken_families(n, d):
+    eps = idempotent_family(n, d)
+    for name, bad in broken_families(eps, n, d):
+        expected = exhaustive_laws(bad)
+        assert expected != (None, None), name
+        assert idempotent_law_failures(bad, n, d) == expected, name
+
+
+def test_one_product_law_check_is_not_fooled_by_carries():
+    # with X = E_0 + b E_1 and Y = E_0 + b^2 E_1 over base b, the family
+    # e_0 = a u, e_1 = u (u idempotent) gives X Y - Z = L^2 a (a - 1 + b + b^2) u,
+    # zero at a = 1 - b - b^2: only a base above twice every digit rejects it
+    u = primitive_idempotent((2,), 2, 2)
+    for b in range(2, 40):
+        bad = {(2,): u.scale(1 - b - b * b), (1, 1): u}
+        assert idempotent_law_failures(bad, 2, 2) == exhaustive_laws(bad) == ((2,), ((2,), (1, 1)))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 4)])
+def test_a_zeroed_idempotent_keeps_the_laws_but_not_the_identity(n, d):
+    eps = idempotent_family(n, d)
+    for s in (s for s, e in eps.items() if not e.is_zero()):
+        bad = {**eps, s: SchurElement.zero(n, d)}
+        assert idempotent_law_failures(bad, n, d) == exhaustive_laws(bad) == (None, None)
+        assert not sums_to_identity(bad, n, d)
+
+
+@pytest.mark.parametrize("family", ["scaled", "sum", "shifted"])
+def test_failing_family_reports_match_the_exhaustive_scan(monkeypatch, capsys, family):
+    n, d = 2, 3
+    bad = dict(broken_families(idempotent_family(n, d), n, d))[family]
+    monkeypatch.setattr(schuralg.cli, "primitive_idempotent", lambda s, n, d: bad[s])
+    monkeypatch.setattr(schuralg.verification, "primitive_idempotent", lambda s, n, d: bad[s])
+    checks = {
+        "idempotent": first_non_idempotent(bad) is None,
+        "orthogonal": first_non_orthogonal_pair(bad) is None,
+        "resolution_of_identity": sums_to_identity(bad, n, d),
+    }
+    assert not all(checks.values())
+    lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in bad.items()]
+    lines += [
+        f"idempotent: {checks['idempotent']}",
+        f"orthogonal: {checks['orthogonal']}",
+        f"sums to identity: {checks['resolution_of_identity']}",
+    ]
+    payload = {
+        "command": "idempotents", "n": n, "d": d, "checks": checks,
+        "idempotents": [
+            {"partition": list(s), "element": element_to_json(e)} for s, e in bad.items()
+        ],
+    }
+    argv = ["idempotents", "--n", str(n), "--d", str(d)]
+    assert schuralg.cli.main(argv) == 1
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert schuralg.cli.main(argv + ["--output", "json"]) == 1
+    assert capsys.readouterr().out == canonical_json(payload) + "\n"
+
+    first_shape, first_pair = exhaustive_laws(bad)
+    if first_shape is not None:
+        detail = f"{first_shape} not idempotent"
+    else:
+        detail = f"{first_pair[0]},{first_pair[1]} not orthogonal"
+    result = check_idempotents(n, d)
+    assert (result.status, result.detail) == (FAIL, detail)
 
 
 def test_class_sums_reconstructed_from_idempotents():

@@ -163,6 +163,18 @@ def test_basis_product_matches_class_sum(n, d):
         assert all(type(c) is int for _, c in got)
 
 
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
+def test_structure_constants_at_most_word_count(n, d):
+    # the digit bound of verification.idempotent_law_failures rests on this:
+    # a structure constant counts middle words, so it is at most n^d
+    top = max(
+        c
+        for x, y in itertools.product(enumerate_basis(n, d), repeat=2)
+        for _, c in _basis_product.__wrapped__(x, y)
+    )
+    assert 0 < top <= n**d
+
+
 def sliced_basis_product(left, right):
     """The convolution of ``_basis_product`` with each output index sliced
     afresh from its flat entries, the build before output indices were
