@@ -336,11 +336,11 @@ class SchurElement:
         self._check_ambient(other)
         merged = dict(self.terms)
         for key, value in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return SchurElement(self.n, self.d, merged)
+            merged[key] = merged.get(key, 0) + value
+        return SchurElement._trusted(self.n, self.d, {k: v for k, v in merged.items() if v})
 
     def __neg__(self) -> SchurElement:
-        return SchurElement(self.n, self.d, {k: -v for k, v in self.terms.items()})
+        return SchurElement._trusted(self.n, self.d, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: SchurElement) -> SchurElement:
         if not isinstance(other, SchurElement):
@@ -349,7 +349,8 @@ class SchurElement:
 
     def scale(self, value: Scalar) -> SchurElement:
         coeff = _coerce_scalar(value)
-        return SchurElement(self.n, self.d, {k: coeff * v for k, v in self.terms.items()})
+        terms = {k: coeff * v for k, v in self.terms.items() if coeff}
+        return SchurElement._trusted(self.n, self.d, terms)
 
     def __mul__(self, other):
         if isinstance(other, SchurElement):

@@ -9,7 +9,7 @@ Inputs are checked once, before dispatch: ``main`` parses the matrix
 operands of multiply and graph and derives (n, d) from them, then applies
 the library's size rule (``basis.check_ambient``) and the resource guards.
 The handlers only compute, and ``_emit`` adds the command, n and d to the
-JSON payload.
+JSON payload; the text lines are passed lazily, so JSON never formats them.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
@@ -23,8 +23,10 @@ the n, d guards.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from math import factorial
+from typing import Iterable
 
 from .basis import (
     basis_count,
@@ -99,7 +101,7 @@ def _check_inputs(args: argparse.Namespace) -> None:
         )
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict) -> None:
     if args.output == "json":
         header = {"command": args.command, "d": args.d}
         if args.n is not None:
@@ -121,7 +123,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     B = enumerate_basis(args.n, args.d)
     payload = {"count": len(B), "matrices": [[list(row) for row in D] for D in B]}
-    _emit(args, [format_matrix(D) for D in B], payload)
+    _emit(args, map(format_matrix, B), payload)
     return EXIT_OK
 
 
@@ -169,19 +171,15 @@ def _selected_shapes(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_centre(args: argparse.Namespace) -> int:
-    lines = []
-    items = []
-    for shape in _selected_shapes(args):
-        z = centre_basis_element(shape, args.n, args.d)
-        lines.append(f"Z{format_partition(shape)} = {format_element(z)}")
-        items.append({"partition": list(shape), "element": element_to_json(z)})
+    sums = {s: centre_basis_element(s, args.n, args.d) for s in _selected_shapes(args)}
+    lines = (f"Z{format_partition(s)} = {format_element(z)}" for s, z in sums.items())
+    items = [{"partition": list(s), "element": element_to_json(z)} for s, z in sums.items()]
     _emit(args, lines, {"class_sums": items})
     return EXIT_OK
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     eps = {s: primitive_idempotent(s, args.n, args.d) for s in _selected_shapes(args)}
-    lines = [f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()]
     if args.shape is None:
         shape, pair = idempotent_law_failures(eps, args.n, args.d)
         checks = {
@@ -192,7 +190,10 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
     else:  # one shape: the pairwise laws need the complete family
         checks = {"idempotent": first_non_idempotent(eps) is None}
     labels = {"resolution_of_identity": "sums to identity"}
-    lines += [f"{labels.get(name, name)}: {ok}" for name, ok in checks.items()]
+    lines = itertools.chain(
+        (f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()),
+        (f"{labels.get(name, name)}: {ok}" for name, ok in checks.items()),
+    )
     payload = {
         "idempotents": [
             {"partition": list(s), "element": element_to_json(e)} for s, e in eps.items()

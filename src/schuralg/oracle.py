@@ -7,18 +7,20 @@ LNM 830, sections 2-3), so each operator is built only on that weight
 block, rows and columns the words of one content in lexicographic order.
 Weight spaces are enumerated per content, on demand; the n^d word list
 ``all_words`` serves only ``dense_operator`` and the tops of the row-sum
-law.  Products compose blocks where the middle weights meet and read each
-target index of ``basis.weight_block`` at its canonical word pair:
-distinct indices have disjoint 0/1 supports, so that one entry is its
-coefficient.  ``find_product_mismatch`` does this for every basis pair at
-once, weight key pair by weight key pair: the 0/1 int64 operators of one
-key are stacked, and one einsum forms every composite of two keys that
-meet.  This cross-checks the combinatorial product by a completely
-different route.  It compares against ``_uncached_product``, the product
-core without its cache: each ordered pair is visited once, so the check
-leaves nothing in the product cache.  The operator stacks list each
-word's images through the unvalidated ``basis._word_images``, since
-their indices come from ``enumerate_basis``.
+law.  Every composition takes one route: the indices (or an element's
+terms) are grouped by weight key (row sums, column sums), each key's 0/1
+int64 operators are stacked, and where two keys meet one einsum forms
+every composite of the key pair, read only at the canonical word pair of
+each target index of ``basis.weight_block`` (distinct indices have
+disjoint 0/1 supports, so that one entry is its coefficient).
+``find_product_mismatch`` compares these composites, for every basis
+pair, with ``_uncached_product``, the product core without its cache, so
+the check leaves nothing in the product cache; ``multiply_via_oracle``
+contracts them with the factors' coefficients afterwards, and
+``dense_operator`` contracts each key's stack with its coefficients.  This
+cross-checks the combinatorial product by a completely different route.
+The stacks list each word's images through the unvalidated
+``basis._word_images``, since their indices are basis matrices.
 
 numpy is imported inside the functions that use it, so importing the
 package, and every command that never reaches the oracle, goes without it.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .basis import (
     Matrix,
@@ -100,33 +102,34 @@ def _basis_stack(key: tuple, members: Sequence[Matrix]) -> np.ndarray:
     return stack
 
 
-def _operator_blocks(terms: dict[Matrix, Scalar]) -> dict:
-    """The operator of sum c * xi_D, one exact (object dtype) matrix per
-    (row sums, column sums) block: each term is its 0/1 block times c."""
-    blocks: dict = {}
-    for D, coeff in terms.items():
-        key = (row_sums(D), col_sums(D))
-        block = _basis_stack(key, (D,))[0].astype(object) * coeff
-        blocks[key] = blocks.get(key, 0) + block
-    return blocks
+def _keyed_stacks(indices: Iterable[Matrix]) -> dict[tuple, tuple[list[Matrix], np.ndarray]]:
+    """The indices grouped by weight key (row sums, column sums), in order of
+    first appearance, each group with its ``_basis_stack``."""
+    keyed: dict[tuple, list[Matrix]] = {}
+    for D in indices:
+        keyed.setdefault((row_sums(D), col_sums(D)), []).append(D)
+    return {key: (members, _basis_stack(key, members)) for key, members in keyed.items()}
 
 
-def _compose(first: dict, then: dict) -> dict[Matrix, Scalar]:
-    """Expansion of the operator ``then`` after ``first``: blocks compose only
-    where the middle weights meet, and each target index is read at its
-    canonical cell."""
-    composite: dict = {}
-    for (middle, source), a in first.items():
-        for (target, inner), b in then.items():
-            if inner == middle:
-                composite[target, source] = composite.get((target, source), 0) + b @ a
-    expansion = {}
-    for (target, source), M in composite.items():
-        rows, cols = _weight_space(target), _weight_space(source)
-        for P, top, bottom in weight_block(target, source):
-            if coeff := M[rows[top], cols[bottom]]:
-                expansion[P] = coeff
-    return expansion
+def _key_pair_composites(first: dict, then: dict) -> Iterator[tuple]:
+    """Every key pair of the grouped stacks ``first`` and ``then``, in order,
+    as (xs, ys, block, composites).  Where the first key's row sums are the
+    second key's column sums, ``block`` is ``weight_block(target, source)``
+    and composites[i, j, p] is the entry of ys[j] after xs[i] at the
+    canonical cell of block[p]; otherwise both are None.  An entry counts
+    words of one content, at most n^d <= guard, so int64 is exact."""
+    import numpy as np
+
+    for (middle, source), (xs, first_stack) in first.items():
+        for (target, inner), (ys, then_stack) in then.items():
+            if inner != middle:
+                yield xs, ys, None, None
+                continue
+            block = weight_block(target, source)
+            rows, cols = _weight_space(target), _weight_space(source)
+            tops = then_stack[:, [rows[top] for _, top, _ in block]]
+            bottoms = first_stack[:, :, [cols[bottom] for _, _, bottom in block]]
+            yield xs, ys, block, np.einsum("jpm,imp->ijp", tops, bottoms)
 
 
 def dense_operator(x: SchurElement) -> np.ndarray:
@@ -140,23 +143,33 @@ def dense_operator(x: SchurElement) -> np.ndarray:
     dim = check_tensor_dimension(x.n, x.d)
     pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
     M = np.zeros((dim, dim), dtype=object)
-    for (target, source), block in _operator_blocks(x.terms).items():
+    for (target, source), (members, stack) in _keyed_stacks(x.terms).items():
+        coeffs = np.array([x.terms[D] for D in members], dtype=object)
         M[np.ix_([pos[w] for w in _weight_space(target)],
-                 [pos[w] for w in _weight_space(source)])] = block
+                 [pos[w] for w in _weight_space(source)])] = np.tensordot(coeffs, stack, 1)
     return M
 
 
 def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Product computed as operator composition, block by block.
+    """Product computed as operator composition, key pair by key pair.
 
     In x * y the left factor acts first on words, so the composite is the
-    operator of y after that of x.  Exact; agrees with the combinatorial
-    ``multiply``.
+    operator of y after that of x.  Exact (object dtype); agrees with the
+    combinatorial ``multiply``.
     """
+    import numpy as np
+
     x._check_ambient(y)
     check_tensor_dimension(x.n, x.d)
-    first, then = _operator_blocks(x.terms), _operator_blocks(y.terms)
-    return SchurElement(x.n, x.d, _compose(first, then))
+    expansion: dict[Matrix, Scalar] = {}
+    pairs = _key_pair_composites(_keyed_stacks(x.terms), _keyed_stacks(y.terms))
+    for xs, ys, block, composites in pairs:
+        if block is not None:
+            cx = np.array([x.terms[D] for D in xs], dtype=object)
+            cy = np.array([y.terms[D] for D in ys], dtype=object)
+            for (P, _, _), c in zip(block, np.tensordot(cy, np.tensordot(cx, composites, 1), 1)):
+                expansion[P] = expansion.get(P, 0) + c
+    return SchurElement(x.n, x.d, expansion)
 
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
@@ -164,38 +177,20 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     every ordered basis pair; return the first mismatching pair in key
     order, or None.
 
-    The basis is grouped by weight key (row sums, column sums), in order of
-    first appearance, and the pairs are visited key pair by key pair, each
-    in basis order.  Where the left factor's row sums are the right
-    factor's column sums, the keys meet: one einsum over the two 0/1 int64
-    stacks forms every composite of the key pair, read only at the
-    canonical cells of the target block.  A pair whose keys do not meet
-    composes to nothing, so its product must be empty too; the whole key
-    pair is asserted empty in one pass.  Every composite entry counts words
-    of one content, at most n^d <= guard, so the int64 arithmetic is exact.
+    The pairs are visited key pair by key pair, each in basis order.  A pair
+    whose keys do not meet composes to nothing, so its product must be
+    empty too; the whole key pair is asserted empty in one pass.
     """
-    import numpy as np
-
     check_tensor_dimension(n, d)
-    keyed: dict[tuple, list[Matrix]] = {}
-    for D in enumerate_basis(n, d):
-        keyed.setdefault((row_sums(D), col_sums(D)), []).append(D)
-    stacks = {key: _basis_stack(key, members) for key, members in keyed.items()}
-    for (middle, source), xs in keyed.items():
-        for (target, inner), ys in keyed.items():
-            if inner != middle:
-                pairs = itertools.product(xs, ys)
-                if any(itertools.starmap(_uncached_product, pairs)):
-                    return next(p for p in itertools.product(xs, ys) if _uncached_product(*p))
-                continue
-            block = weight_block(target, source)
-            rows, cols = _weight_space(target), _weight_space(source)
-            tops = stacks[target, middle][:, [rows[top] for _, top, _ in block]]
-            bottoms = stacks[middle, source][:, :, [cols[bottom] for _, _, bottom in block]]
-            composites = np.einsum("jpm,imp->ijp", tops, bottoms).tolist()
-            for Dx, row in zip(xs, composites):
-                for Dy, coeffs in zip(ys, row):
-                    expansion = {P: c for (P, _, _), c in zip(block, coeffs) if c}
-                    if expansion != dict(_uncached_product(Dx, Dy)):
-                        return Dx, Dy
+    stacks = _keyed_stacks(enumerate_basis(n, d))
+    for xs, ys, block, composites in _key_pair_composites(stacks, stacks):
+        if block is None:
+            if any(itertools.starmap(_uncached_product, itertools.product(xs, ys))):
+                return next(p for p in itertools.product(xs, ys) if _uncached_product(*p))
+            continue
+        for Dx, row in zip(xs, composites.tolist()):
+            for Dy, coeffs in zip(ys, row):
+                expansion = {P: c for (P, _, _), c in zip(block, coeffs) if c}
+                if expansion != dict(_uncached_product(Dx, Dy)):
+                    return Dx, Dy
     return None

@@ -340,6 +340,27 @@ def test_element_scaling_matches_addition():
     assert x.scale(2) == x + x == 2 * x
 
 
+def test_element_arithmetic_does_not_revalidate(monkeypatch):
+    # the keys of two validated elements of one ambient need no new check
+    A, B, C = ((2, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 0), (1, 1))
+    x = SchurElement(2, 2, {A: Fraction(1, 2), B: -3})
+    y = SchurElement(2, 2, {B: 3, C: Fraction(2, 3)})
+
+    def refuse(entries):
+        raise RuntimeError("key re-validated")
+
+    monkeypatch.setattr("schuralg.basis.check_matrix", refuse)
+    assert (x + y).terms == {A: Fraction(1, 2), C: Fraction(2, 3)}
+    assert (-x).terms == {A: Fraction(-1, 2), B: 3}
+    assert (x - y).terms == {A: Fraction(1, 2), B: -6, C: Fraction(-2, 3)}
+    assert x.scale(0).terms == {}
+    assert x.scale(Fraction(1, 3)).terms == {A: Fraction(1, 6), B: -1}
+    assert (x + (-x)).terms == {}
+    for refused in (2.0, True):
+        with pytest.raises(TypeError):
+            x.scale(refused)
+
+
 def test_element_drops_zero_coefficients():
     x = SchurElement(2, 2, {((2, 0), (0, 0)): 0, ((0, 2), (0, 0)): Fraction(1, 2)})
     assert x.support() == (((0, 2), (0, 0)),)

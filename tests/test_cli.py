@@ -65,6 +65,28 @@ def test_output_matches_golden(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("idempotents_n2_d3.json",
+         ("idempotents", "--n", "2", "--d", "3", "--output", "json")),
+        ("centre_n3_d3.json", ("centre", "--n", "3", "--d", "3", "--output", "json")),
+        ("basis_n2_d3.json", ("basis", "--n", "2", "--d", "3", "--output", "json")),
+    ],
+)
+def test_json_output_formats_no_text(capsys, monkeypatch, golden, argv):
+    """JSON output never renders the text lines it does not print."""
+
+    def refuse(*args):
+        raise RuntimeError("text rendered for JSON output")
+
+    monkeypatch.setattr("schuralg.cli.format_element", refuse)
+    monkeypatch.setattr("schuralg.cli.format_matrix", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_dim_text(capsys):
     code, out, _ = run_cli(capsys, "dim", "--n", "2", "--d", "2")
     assert code == 0

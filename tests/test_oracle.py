@@ -126,6 +126,33 @@ def test_composite_operator_fully_explained():
             assert np.array_equal(composite, dense_operator(multiply_via_oracle(x, y)))
 
 
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3)])
+def test_oracle_contracts_whole_weight_blocks(n, d):
+    # each factor holds a whole weight block with distinct rational
+    # coefficients, so the coefficient contraction runs over several stacked
+    # members on both sides
+    weights = list(compositions(d, (d,) * n))
+    blocks = {
+        (rows, cols): [D for D, _, _ in weight_block(rows, cols)]
+        for rows in weights for cols in weights
+    }
+    pairs = 0
+    for (a, b), xs in blocks.items():
+        for c in weights:
+            ys = blocks[c, a]
+            if len(xs) < 2 or len(ys) < 2:
+                continue
+            x = SchurElement(n, d, {D: Fraction(k + 1, 3) for k, D in enumerate(xs)})
+            y = SchurElement(n, d, {D: Fraction(2 * k - 1, 5) for k, D in enumerate(ys)})
+            product = multiply_via_oracle(x, y)
+            assert product == multiply(x, y)
+            if n == 2:
+                composite = dense_operator(y) @ dense_operator(x)
+                assert np.array_equal(dense_operator(product), composite)
+            pairs += 1
+    assert pairs > 0
+
+
 def test_batch_mismatch_search_clean():
     for (n, d) in [(2, 2), (3, 2), (2, 3)]:
         assert find_product_mismatch(n, d) is None
