@@ -9,7 +9,9 @@ Inputs are checked once, before dispatch: ``main`` parses the matrix
 operands of multiply and graph and derives (n, d) from them, then applies
 the library's size rule (``basis.check_ambient``) and the resource guards.
 The handlers only compute, and ``_emit`` adds the command, n and d to the
-JSON payload; the text lines are passed lazily, so JSON never formats them.
+JSON payload.  Both outputs are passed lazily, the text lines as an iterable
+and the payload as a function that builds it, so JSON never formats the text
+and text never builds the payload.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource guard
 exceeded.
@@ -26,7 +28,7 @@ import argparse
 import itertools
 import sys
 from math import factorial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .basis import (
     basis_count,
@@ -101,12 +103,14 @@ def _check_inputs(args: argparse.Namespace) -> None:
         )
 
 
-def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict) -> None:
+def _emit(
+    args: argparse.Namespace, text_lines: Iterable[str], payload: Callable[[], dict]
+) -> None:
     if args.output == "json":
         header = {"command": args.command, "d": args.d}
         if args.n is not None:
             header["n"] = args.n
-        print(canonical_json(header | payload))
+        print(canonical_json(header | payload()))
     else:
         for line in text_lines:
             print(line)
@@ -116,14 +120,14 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     size = basis_count(args.n, args.d)
     dim = centre_dimension(args.n, args.d)
     _emit(args, [f"|M({args.n},{args.d})| = {size}", f"centre dimension = {dim}"],
-          {"basis_size": size, "centre_dimension": dim})
+          lambda: {"basis_size": size, "centre_dimension": dim})
     return EXIT_OK
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     B = enumerate_basis(args.n, args.d)
-    payload = {"count": len(B), "matrices": [[list(row) for row in D] for D in B]}
-    _emit(args, map(format_matrix, B), payload)
+    _emit(args, map(format_matrix, B),
+          lambda: {"count": len(B), "matrices": [[list(row) for row in D] for D in B]})
     return EXIT_OK
 
 
@@ -134,22 +138,27 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
             print(euler_class_to_dot(tensor, name=f"matching_{idx}"))
         return EXIT_OK
     product = multiply(basis_element(left), basis_element(right))
-    payload: dict = {
-        "left": [list(r) for r in left],
-        "right": [list(r) for r in right],
-        "product": element_to_json(product),
-    }
+    classes = euler_classes(left, right) if args.show_euler else None
+
+    def payload() -> dict:
+        out = {
+            "left": [list(r) for r in left],
+            "right": [list(r) for r in right],
+            "product": element_to_json(product),
+        }
+        if classes is not None:
+            out["euler_classes"] = [
+                {
+                    "tensor": [[list(r) for r in layer] for layer in tensor],
+                    "product_graph": [list(r) for r in product_graph(tensor)],
+                    "multiplicity": class_multiplicity(tensor),
+                }
+                for tensor in classes
+            ]
+        return out
+
     lines = [f"product = {format_element(product)}"]
-    if args.show_euler:
-        classes = euler_classes(left, right)
-        payload["euler_classes"] = [
-            {
-                "tensor": [[list(r) for r in layer] for layer in tensor],
-                "product_graph": [list(r) for r in product_graph(tensor)],
-                "multiplicity": class_multiplicity(tensor),
-            }
-            for tensor in classes
-        ]
+    if classes is not None:
         lines.append(f"euler classes: {len(classes)}")
         for idx, tensor in enumerate(classes):
             lines.append(
@@ -173,8 +182,9 @@ def _selected_shapes(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
 def _cmd_centre(args: argparse.Namespace) -> int:
     sums = {s: centre_basis_element(s, args.n, args.d) for s in _selected_shapes(args)}
     lines = (f"Z{format_partition(s)} = {format_element(z)}" for s, z in sums.items())
-    items = [{"partition": list(s), "element": element_to_json(z)} for s, z in sums.items()]
-    _emit(args, lines, {"class_sums": items})
+    _emit(args, lines, lambda: {"class_sums": [
+        {"partition": list(s), "element": element_to_json(z)} for s, z in sums.items()
+    ]})
     return EXIT_OK
 
 
@@ -194,13 +204,12 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
         (f"e{format_partition(s)} = {format_element(e)}" for s, e in eps.items()),
         (f"{labels.get(name, name)}: {ok}" for name, ok in checks.items()),
     )
-    payload = {
+    _emit(args, lines, lambda: {
         "idempotents": [
             {"partition": list(s), "element": element_to_json(e)} for s, e in eps.items()
         ],
         "checks": checks,
-    }
-    _emit(args, lines, payload)
+    })
     return EXIT_OK if all(checks.values()) else EXIT_VERIFY
 
 
@@ -220,13 +229,12 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
             f"{format_partition(s):>{width}} | "
             + "  ".join(f"{v:>8}" for v in row)
         )
-    payload = {
+    _emit(args, lines, lambda: {
         "partitions": [list(s) for s in shapes],
         "class_sizes": sizes,
         "table": table,
         "order": factorial(args.d),
-    }
-    _emit(args, lines, payload)
+    })
     return EXIT_OK
 
 
@@ -236,14 +244,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{r.status.upper():5} {r.name}" + (f" ({r.detail})" if r.detail else "")
         for r in results
     ]
-    rows = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
-    _emit(args, lines, {"results": rows})
+    _emit(args, lines, lambda: {"results": [
+        {"name": r.name, "status": r.status, "detail": r.detail} for r in results
+    ]})
     return EXIT_VERIFY if any(r.status == FAIL for r in results) else EXIT_OK
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     dot = matrix_to_dot(args.matrix)
-    _emit(args, [dot], {"dot": dot})
+    _emit(args, [dot], lambda: {"dot": dot})
     return EXIT_OK
 
 

@@ -31,12 +31,21 @@ margin's tables and weights are built once, and the middles are folded in
 one by one over a dict keyed by the partial sum.  ``euler_classes`` and
 ``structure_constant`` remain independent routes to the same numbers.
 
-The expansion of each basis pair is cached (``_basis_product``), and each
-output index is built through the bounded ``_shared_matrix`` memo, keyed
-by its flat entries, so the cached expansions and the products of
-``multiply`` hold one tuple per matrix instead of one per term.  The
-oracle's all-pairs check calls the uncached core and leaves the product
-cache empty.
+The fold adds packed integer codes, not entry tuples (Kronecker
+substitution).  An n x n matrix with entries summing to at most d is coded
+as sum_k flat[k] * (d+1)^(n*n-1-k), its row-major entries read as n*n
+big-endian digits in base d + 1.  Every table and every partial sum has
+nonnegative entries totalling at most d, so each digit stays at most d and
+adding two codes never carries: the sum of the codes is the code of the
+entrywise sum.  All codes of one (n, d) have n*n digits, so their integer
+order is the row-major lexicographic order of the matrices, and sorting
+the codes sorts the output indices.
+
+The expansion of each basis pair is cached (``_basis_product``, bounded),
+and each output code is decoded once through the bounded ``_shared_matrix``
+memo, so the cached expansions and the products of ``multiply`` hold one
+tuple per matrix instead of one per term.  The oracle's all-pairs check
+calls the uncached core and leaves the product cache empty.
 
 Orientation is load-bearing and locked by the regression tests: in x * y
 the LEFT factor acts first on words, so the composite's column sums (input
@@ -51,8 +60,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, prod
-from operator import add
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .basis import (
@@ -119,51 +127,68 @@ def class_multiplicity(tensor: Tensor) -> int:
 
 @lru_cache(maxsize=4096)
 def _margin_tables(
-    rsums: tuple[int, ...], csums: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each table with the given row and column sums, flattened row-major,
-    with its weight: the product over columns j of multinomial(csums[j];
-    column j)."""
-    return tuple(
-        (sum(T, ()), prod(_multinomial(column) for column in zip(*T)))
-        for T in _contingency_tables(rsums, csums)
-    )
+    rsums: tuple[int, ...], csums: tuple[int, ...], d: int
+) -> tuple[tuple[int, int], ...]:
+    """Each table with the given row and column sums, as its packed code
+    (row-major entries as big-endian digits in base d + 1, see the module
+    docstring), with its weight: the product over columns j of
+    multinomial(csums[j]; column j)."""
+    base = d + 1
+    out = []
+    for T in _contingency_tables(rsums, csums):
+        code = 0
+        for v in sum(T, ()):
+            code = code * base + v
+        out.append((code, prod(_multinomial(column) for column in zip(*T))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
-def _shared_matrix(flat: tuple[int, ...]) -> Matrix:
-    """The matrix with row-major entries ``flat``, one object per entry
-    tuple while it stays cached; eviction only loses sharing."""
-    n = isqrt(len(flat))
-    return tuple(flat[r:r + n] for r in range(0, n * n, n))
+def _shared_matrix(code: int, n: int, d: int) -> tuple[Matrix, int]:
+    """The n x n matrix whose row-major entries are the base-(d + 1) digits
+    of ``code``, most significant first, with the product of its entries'
+    factorials.  One matrix object per code while it stays cached; eviction
+    only loses sharing."""
+    flat = [0] * (n * n)
+    for k in range(n * n - 1, -1, -1):
+        code, flat[k] = divmod(code, d + 1)
+    matrix = tuple(tuple(flat[r:r + n]) for r in range(0, n * n, n))
+    return matrix, prod(map(factorial, flat))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """Expansion of the product of two basis indices; both come from
     ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated.
     The middle vertices are folded in by the convolution in the module
-    docstring, with each margin's weighted tables from ``_margin_tables``,
-    and each output index is built through ``_shared_matrix``."""
+    docstring over the packed codes of ``_margin_tables``: a partial sum
+    plus a table is one int addition, which never carries because every
+    digit stays at most d.  Sorting the codes sorts the output indices, and
+    each output code is decoded once, with its factorials, through
+    ``_shared_matrix``.  The cache is bounded above the working sets seen
+    (about 17000 pairs), so repeated products keep their hits."""
     if row_sums(left) != col_sums(right):
         return ()
     n = len(left)
-    partial: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
+    flat_left = sum(left, ())
+    d = sum(flat_left)
+    partial: dict[int, int] = {0: 1}
     for col, row in zip(zip(*right), left):
         if not any(row):
             continue  # no edge passes through this middle vertex
-        tables = _margin_tables(col, row)
-        folded: dict[tuple[int, ...], int] = {}
+        tables = _margin_tables(col, row, d)
+        folded: dict[int, int] = {}
         for S, c in partial.items():
             for T, w in tables:
-                key = tuple(map(add, S, T))
+                key = S + T
                 folded[key] = folded.get(key, 0) + c * w
         partial = folded
-    x_fact = prod(map(factorial, sum(left, ())))
-    return tuple(sorted(
-        (_shared_matrix(flat), prod(map(factorial, flat)) * c // x_fact)
-        for flat, c in partial.items()
-    ))
+    x_fact = prod(map(factorial, flat_left))
+    out = []
+    for code in sorted(partial):
+        matrix, p_fact = _shared_matrix(code, n, d)
+        out.append((matrix, p_fact * partial[code] // x_fact))
+    return tuple(out)
 
 
 def _numerators(x: SchurElement) -> tuple[int, dict[Matrix, int]]:

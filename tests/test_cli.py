@@ -87,6 +87,27 @@ def test_json_output_formats_no_text(capsys, monkeypatch, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("centre_n2_d4.txt", ("centre", "--n", "2", "--d", "4")),
+        ("idempotents_n2_d3.txt", ("idempotents", "--n", "2", "--d", "3")),
+        ("idempotents_n2_d3_shape_2_1.txt",
+         ("idempotents", "--n", "2", "--d", "3", "--shape", "2,1")),
+    ],
+)
+def test_text_output_builds_no_payload(capsys, monkeypatch, golden, argv):
+    """Text output never builds the JSON payload it does not print."""
+
+    def refuse(*args):
+        raise RuntimeError("JSON payload built for text output")
+
+    monkeypatch.setattr("schuralg.cli.element_to_json", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_dim_text(capsys):
     code, out, _ = run_cli(capsys, "dim", "--n", "2", "--d", "2")
     assert code == 0

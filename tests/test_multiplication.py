@@ -14,12 +14,14 @@ from schuralg.basis import (
     identity_element,
     row_sums,
     SchurElement,
+    weight_block,
 )
 from schuralg.centre import primitive_idempotent
 from schuralg.multiplication import (
     _basis_product,
     _contingency_tables,
     _margin_tables,
+    _multinomial,
     _shared_matrix,
     class_multiplicity,
     compositions,
@@ -176,9 +178,10 @@ def test_structure_constants_at_most_word_count(n, d):
 
 
 def sliced_basis_product(left, right):
-    """The convolution of ``_basis_product`` with each output index sliced
-    afresh from its flat entries, the build before output indices were
-    shared."""
+    """The convolution over the middle vertices on flat entry tuples, with
+    each table built from ``_contingency_tables`` and ``_multinomial`` and
+    each output index sliced afresh from its flat entries: the build before
+    tables were packed into integer codes and output indices shared."""
     if row_sums(left) != col_sums(right):
         return ()
     n = len(left)
@@ -188,8 +191,9 @@ def sliced_basis_product(left, right):
             continue
         folded = {}
         for S, c in partial.items():
-            for T, w in _margin_tables(col, row):
-                key = tuple(map(add, S, T))
+            for T in _contingency_tables(col, row):
+                w = prod(_multinomial(column) for column in zip(*T))
+                key = tuple(map(add, S, sum(T, ())))
                 folded[key] = folded.get(key, 0) + c * w
         partial = folded
     x_fact = prod(map(factorial, sum(left, ())))
@@ -205,6 +209,60 @@ def test_shared_build_equals_sliced_build(n, d):
     for x, y in itertools.product(enumerate_basis(n, d), repeat=2):
         assert _basis_product(x, y) == sliced_basis_product(x, y)
     _basis_product.cache_clear()
+
+
+def corner(n, d):
+    """d times the matrix unit E_11 of side n: its one entry is d."""
+    return tuple(tuple(d if (i, j) == (0, 0) else 0 for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 4), (1, 0), (2, 0), (3, 0), (1, 3)])
+def test_corner_squares_to_itself(n, d):
+    # the output entry reaches d, the largest digit of base d + 1; d = 0
+    # packs in base 1 (every code is 0), and n = 1 has one digit
+    x = corner(n, d)
+    assert _basis_product.__wrapped__(x, x) == ((x, 1),) == sliced_basis_product(x, x)
+    assert multiply(basis_element(x), basis_element(x)) == basis_element(x)
+
+
+def test_square_blocks_match_reference():
+    # every ordered pair inside each square weight block at (2,6), among
+    # them the corners with an entry equal to d
+    n, d = 2, 6
+    for lam in compositions(d, (d,) * n):
+        block = [D for D, _, _ in weight_block(lam, lam)]
+        for x, y in itertools.product(block, repeat=2):
+            assert _basis_product.__wrapped__(x, y) == sliced_basis_product(x, y)
+
+
+@st.composite
+def meeting_pairs(draw):
+    """An index pair (x, y) at n <= 4, d <= 6 whose middle vertices meet:
+    the column sums of y are the row sums of x."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+
+    def split(total, parts):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1,
+                                    max_size=parts - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+    flat = split(d, n * n)
+    x = tuple(flat[r:r + n] for r in range(0, n * n, n))
+    y = tuple(zip(*(split(s, n) for s in row_sums(x))))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=meeting_pairs())
+def test_packed_core_matches_reference(pair):
+    x, y = pair
+    got = _basis_product.__wrapped__(x, y)
+    assert got and got == sliced_basis_product(x, y)
+    assert [P for P, _ in got] == sorted(P for P, _ in got)
+
+
+def test_product_cache_is_bounded():
+    assert _basis_product.cache_info().maxsize is not None
 
 
 def test_expansions_share_output_matrices():
