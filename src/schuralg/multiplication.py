@@ -44,8 +44,12 @@ the codes sorts the output indices.
 The expansion of each basis pair is cached (``_basis_product``, bounded),
 and each output code is decoded once through the bounded ``_shared_matrix``
 memo, so the cached expansions and the products of ``multiply`` hold one
-tuple per matrix instead of one per term.  The oracle's all-pairs check
-calls the uncached core and leaves the product cache empty.
+tuple per matrix instead of one per term.  Each factor's margins and x!
+are read from one bounded record per index (``_index_record``), so a pair
+whose margins do not meet costs two lookups.  The checks that visit each
+basis pair once (the oracle's all-pairs check, and ``verify``'s
+structure-constants and content-margins checks) call the uncached core,
+``_uncached_product``, and leave the product cache empty.
 
 Orientation is load-bearing and locked by the regression tests: in x * y
 the LEFT factor acts first on words, so the composite's column sums (input
@@ -157,6 +161,13 @@ def _shared_matrix(code: int, n: int, d: int) -> tuple[Matrix, int]:
 
 
 @lru_cache(maxsize=1 << 15)
+def _index_record(D: Matrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The row sums and column sums of the basis index D, and the product
+    of its entries' factorials (x! in the module docstring)."""
+    return row_sums(D), col_sums(D), prod(factorial(v) for row in D for v in row)
+
+
+@lru_cache(maxsize=1 << 15)
 def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """Expansion of the product of two basis indices; both come from
     ``enumerate_basis`` or a ``SchurElement``, so they are not re-validated.
@@ -165,13 +176,14 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
     plus a table is one int addition, which never carries because every
     digit stays at most d.  Sorting the codes sorts the output indices, and
     each output code is decoded once, with its factorials, through
-    ``_shared_matrix``.  The cache is bounded above the working sets seen
-    (about 17000 pairs), so repeated products keep their hits."""
-    if row_sums(left) != col_sums(right):
+    ``_shared_matrix``.  The margins and x! come from ``_index_record``.
+    The cache is bounded above the working sets seen (about 17000 pairs),
+    so repeated products keep their hits."""
+    middle, _, x_fact = _index_record(left)
+    if middle != _index_record(right)[1]:
         return ()
     n = len(left)
-    flat_left = sum(left, ())
-    d = sum(flat_left)
+    d = sum(middle)
     partial: dict[int, int] = {0: 1}
     for col, row in zip(zip(*right), left):
         if not any(row):
@@ -183,12 +195,15 @@ def _basis_product(left: Matrix, right: Matrix) -> tuple[tuple[Matrix, int], ...
                 key = S + T
                 folded[key] = folded.get(key, 0) + c * w
         partial = folded
-    x_fact = prod(map(factorial, flat_left))
     out = []
     for code in sorted(partial):
         matrix, p_fact = _shared_matrix(code, n, d)
         out.append((matrix, p_fact * partial[code] // x_fact))
     return tuple(out)
+
+
+# The core without its cache, for the checks that visit each pair once.
+_uncached_product = _basis_product.__wrapped__
 
 
 def _numerators(x: SchurElement) -> tuple[int, dict[Matrix, int]]:
@@ -203,16 +218,17 @@ def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     pairs with row_sums(Dx) == col_sums(Dy) can contribute, so only those
     are visited.  Both factors are scaled to integer numerators, so the
     sums are over ints and each output coefficient is divided once.  The
-    keys come from the trusted core, so the result is not re-validated."""
+    margins are read from ``_index_record``, and the keys come from the
+    trusted core, so the result is not re-validated."""
     x._check_ambient(y)
     lx, nx = _numerators(x)
     ly, ny = _numerators(y)
     by_col_sums: dict[tuple[int, ...], list[tuple[Matrix, int]]] = {}
     for Dy, cy in ny.items():
-        by_col_sums.setdefault(col_sums(Dy), []).append((Dy, cy))
+        by_col_sums.setdefault(_index_record(Dy)[1], []).append((Dy, cy))
     acc: dict[Matrix, int] = {}
     for Dx, cx in nx.items():
-        for Dy, cy in by_col_sums.get(row_sums(Dx), ()):
+        for Dy, cy in by_col_sums.get(_index_record(Dx)[0], ()):
             cxy = cx * cy
             for P, mult in _basis_product(Dx, Dy):
                 acc[P] = acc.get(P, 0) + cxy * mult

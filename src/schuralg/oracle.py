@@ -15,7 +15,8 @@ each target index of ``basis.weight_block`` (distinct indices have
 disjoint 0/1 supports, so that one entry is its coefficient).
 ``find_product_mismatch`` compares these composites, for every basis
 pair, with ``_uncached_product``, the product core without its cache, so
-the check leaves nothing in the product cache; ``multiply_via_oracle``
+the check leaves nothing in the product cache, as ``verify``'s other
+once-per-pair checks do; ``multiply_via_oracle``
 contracts them with the factors' coefficients afterwards, and
 ``dense_operator`` contracts each key's stack with its coefficients.  This
 cross-checks the combinatorial product by a completely different route.
@@ -48,16 +49,12 @@ from .basis import (
     weight_block,
     words_of_content,
 )
-from .multiplication import _basis_product
+from .multiplication import _uncached_product
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_MAX_TENSOR_DIM = 10_000
-
-# The checked route without its cache: the all-pairs check visits each
-# ordered pair once, so caching its products would only hold memory.
-_uncached_product = _basis_product.__wrapped__
 
 
 class TensorDimensionError(RuntimeError):

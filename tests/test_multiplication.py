@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -7,6 +9,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schuralg
 from schuralg.basis import (
     basis_element,
     col_sums,
@@ -20,6 +23,7 @@ from schuralg.centre import primitive_idempotent
 from schuralg.multiplication import (
     _basis_product,
     _contingency_tables,
+    _index_record,
     _margin_tables,
     _multinomial,
     _shared_matrix,
@@ -263,6 +267,33 @@ def test_packed_core_matches_reference(pair):
 
 def test_product_cache_is_bounded():
     assert _basis_product.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (2, 4), (3, 3)])
+def test_index_record_holds_margins_and_factorials(n, d):
+    assert _index_record.cache_info().maxsize is not None
+    for D in enumerate_basis(n, d):
+        x_fact = prod(factorial(v) for row in D for v in row)
+        assert _index_record(D) == (row_sums(D), col_sums(D), x_fact)
+
+
+# The memos that may grow without bound: each is keyed by an (n, d), a
+# content, a shape or a weight key, never by a basis index or a pair.
+UNBOUNDED_MEMOS = {
+    "enumerate_basis", "weight_block", "_cycle_type_histogram", "all_words",
+    "_weight_space", "partitions_of", "permutations_by_type", "character",
+}
+
+
+def test_every_other_memo_is_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(schuralg.__path__):
+        module = importlib.import_module(f"schuralg.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                memos[name] = obj.cache_info().maxsize
+    assert UNBOUNDED_MEMOS | {"_basis_product", "_index_record"} <= memos.keys()
+    assert {name for name, size in memos.items() if size is None} <= UNBOUNDED_MEMOS
 
 
 def test_expansions_share_output_matrices():

@@ -1,0 +1,116 @@
+"""The once-per-pair product checks of ``verify``: they leave the product
+cache empty, expand each pair once, and name the first fault injected
+into the product core they check."""
+
+import itertools
+
+import pytest
+
+from schuralg import verification
+from schuralg.basis import col_sums, enumerate_basis, row_sums
+from schuralg.multiplication import _basis_product
+from schuralg.verification import (
+    FAIL,
+    PASS,
+    check_content_margins,
+    check_structure_constants,
+)
+
+ONCE_PER_PAIR = [check_content_margins, check_structure_constants]
+
+
+@pytest.mark.parametrize("check", ONCE_PER_PAIR)
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 6)])
+def test_once_per_pair_checks_leave_the_product_cache_empty(check, n, d):
+    _basis_product.cache_clear()
+    assert check(n, d).status == PASS
+    assert _basis_product.cache_info().currsize == 0
+
+
+def test_exhaustive_structure_check_expands_each_pair_once(monkeypatch):
+    B = enumerate_basis(2, 3)
+    real = verification._uncached_product
+    calls = []
+
+    def counted(Dx, Dy):
+        calls.append((Dx, Dy))
+        return real(Dx, Dy)
+
+    monkeypatch.setattr(verification, "_uncached_product", counted)
+    result = check_structure_constants(2, 3)
+    assert result.status == PASS and result.detail == f"all {len(B) ** 3} triples"
+    assert calls == list(itertools.product(B, repeat=2))
+
+
+def _meeting_pairs_with_terms(B, count):
+    """``count`` meeting pairs spread over the basis order, each with at
+    least two output terms."""
+    pairs = [
+        (Dx, Dy) for Dx, Dy in itertools.product(B, repeat=2)
+        if len(verification._uncached_product(Dx, Dy)) > 1
+    ]
+    return [pairs[k * (len(pairs) - 1) // (count - 1)] for k in range(count)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_structure_check_names_the_first_wrong_coefficient(monkeypatch, which):
+    # the first and last coefficients of one meeting pair are off by one;
+    # the check names the faulty triple that itertools.product(B, repeat=3)
+    # reaches first
+    B = enumerate_basis(2, 3)
+    pair = _meeting_pairs_with_terms(B, 3)[which]
+    real = verification._uncached_product
+    expansion = real(*pair)
+    faulty = {expansion[0][0], expansion[-1][0]}
+
+    def patched(Dx, Dy):
+        product = real(Dx, Dy)
+        if (Dx, Dy) != pair:
+            return product
+        return tuple((P, c + (P in faulty)) for P, c in product)
+
+    monkeypatch.setattr(verification, "_uncached_product", patched)
+    first = next(t for t in itertools.product(B, repeat=3) if t[:2] == pair and t[2] in faulty)
+    assert check_structure_constants(2, 3) == verification.CheckResult(
+        "structure-constants", FAIL, f"triple {first}"
+    )
+
+
+def test_structure_check_names_the_earlier_faulty_pair(monkeypatch):
+    B = enumerate_basis(2, 3)
+    early, late = _meeting_pairs_with_terms(B, 2)
+    real = verification._uncached_product
+
+    def patched(Dx, Dy):
+        product = real(Dx, Dy)
+        if (Dx, Dy) in (early, late):
+            return ((product[0][0], product[0][1] + 1), *product[1:])
+        return product
+
+    monkeypatch.setattr(verification, "_uncached_product", patched)
+    result = check_structure_constants(2, 3)
+    assert result.status == FAIL
+    assert result.detail == f"triple {(*early, real(*early)[0][0])}"
+
+
+@pytest.mark.parametrize("meeting", [True, False])
+def test_margin_check_names_the_pair_with_wrong_row_sums(monkeypatch, meeting):
+    n, d = 2, 3
+    B = enumerate_basis(n, d)
+    pair = next(
+        (Dx, Dy) for Dx, Dy in itertools.product(B, repeat=2)
+        if (row_sums(Dx) == col_sums(Dy)) == meeting and row_sums(Dx) != row_sums(Dy)
+    )
+    Dx, Dy = pair
+    # the right column sums but the row sums of the wrong factor
+    bad = next(P for P in B if col_sums(P) == col_sums(Dx) and row_sums(P) != row_sums(Dy))
+    real = verification._uncached_product
+
+    def patched(left, right):
+        product = real(left, right)
+        return (*product, (bad, 1)) if (left, right) == pair else product
+
+    monkeypatch.setattr(verification, "_uncached_product", patched)
+    assert check_content_margins(n, d) == verification.CheckResult(
+        "content-margins", FAIL, f"pair {pair} -> {bad}"
+    )
