@@ -220,17 +220,14 @@ def matrix_from_pair(i: MultiIndex, j: MultiIndex, n: int) -> Matrix:
 def canonical_pair(entries: Matrix) -> GeneralizedPermutation:
     """The unique sorted two-line array whose pair matrix is ``entries``.
 
-    Round-trips with matrix_from_pair.
+    The cells in row-major order are the columns (a, b) in sorted order,
+    so the run of top letter a is the sorted word of row a, as in
+    ``weight_block``.  Round-trips with matrix_from_pair.
     """
-    n, _ = check_matrix(entries)
-    pairs: list[tuple[int, int]] = []
-    for a in range(n):
-        for b in range(n):
-            pairs.extend([(a + 1, b + 1)] * entries[a][b])
-    pairs.sort()
+    check_matrix(entries)
     return GeneralizedPermutation(
-        top=tuple(p[0] for p in pairs),
-        bottom=tuple(p[1] for p in pairs),
+        top=_sorted_word(row_sums(entries)),
+        bottom=sum(map(_sorted_word, entries), ()),
     )
 
 
@@ -374,7 +371,7 @@ class SchurElement:
 def basis_element(entries: Matrix) -> SchurElement:
     """The basis element indexed by a single matrix."""
     n, d = check_matrix(entries)
-    return SchurElement(n, d, {entries: 1})
+    return SchurElement._trusted(n, d, {entries: Fraction(1)})
 
 
 def identity_element(n: int, d: int) -> SchurElement:

@@ -59,7 +59,6 @@ from .multiplication import (
 from .oracle import TensorDimensionError
 from .partitions import class_size, character, partitions_of
 from .verification import (
-    FAIL,
     first_non_idempotent,
     idempotent_law_failures,
     run_suite,
@@ -247,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(args, lines, lambda: {"results": [
         {"name": r.name, "status": r.status, "detail": r.detail} for r in results
     ]})
-    return EXIT_VERIFY if any(r.status == FAIL for r in results) else EXIT_OK
+    return EXIT_VERIFY if any(r.failed for r in results) else EXIT_OK
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:

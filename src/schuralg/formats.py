@@ -92,7 +92,7 @@ def _bipartite_dot(name: str, n: int, edges: list[str]) -> str:
     return "\n".join([f"graph {name} {{", "  rankdir=TB;", *ranks, *edges, "}"])
 
 
-def matrix_to_dot(entries: Matrix, name: str = "bipartite") -> str:
+def matrix_to_dot(entries: Matrix) -> str:
     """DOT rendering of the bipartite multigraph of an index matrix.
 
     First row = sources, second row = destinations; entry (i, j) emits that
@@ -106,7 +106,7 @@ def matrix_to_dot(entries: Matrix, name: str = "bipartite") -> str:
         for i in range(1, n + 1)
         for _ in range(entries[i - 1][j - 1])
     ]
-    return _bipartite_dot(name, n, edges)
+    return _bipartite_dot("bipartite", n, edges)
 
 
 def euler_class_to_dot(tensor: Tensor, name: str = "matching") -> str:

@@ -248,6 +248,9 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
     factor's row i.  Parallel target edges are distinguishable, hence the
     per-cell multinomial weight.  Equals the coefficient produced by
     ``multiply``; the two routes are cross-checked exhaustively in tests.
+    Once the margins match, every complete filling of the cells uses both
+    factors up: the splits in column j total col_sums(left)[j], and those
+    in row i total row_sums(right)[i]; so no remainder is tested.
     """
     n, d = check_matrix(target)
     for other in (left, right):
@@ -255,29 +258,24 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
             raise ValueError("ambient mismatch between factors and target")
     if col_sums(left) != col_sums(target) or row_sums(right) != row_sums(target):
         return 0
-    rem_left = [[left[k][j] for j in range(n)] for k in range(n)]
-    rem_right = [[right[i][k] for k in range(n)] for i in range(n)]
+    rem_left = [list(row) for row in left]
+    rem_right = [list(row) for row in right]
     cells = [(i, j) for i in range(n) for j in range(n)]
-    total = 0
 
-    def rec(ci: int, acc: int) -> None:
-        nonlocal total
+    def rec(ci: int) -> int:
         if ci == len(cells):
-            if all(v == 0 for row in rem_left for v in row) and all(
-                v == 0 for row in rem_right for v in row
-            ):
-                total += acc
-            return
+            return 1
         i, j = cells[ci]
         caps = [min(rem_left[k][j], rem_right[i][k]) for k in range(n)]
+        total = 0
         for counts in compositions(target[i][j], caps):
             for k, v in enumerate(counts):
                 rem_left[k][j] -= v
                 rem_right[i][k] -= v
-            rec(ci + 1, acc * _multinomial(counts))
+            total += _multinomial(counts) * rec(ci + 1)
             for k, v in enumerate(counts):
                 rem_left[k][j] += v
                 rem_right[i][k] += v
+        return total
 
-    rec(0, 1)
-    return total
+    return rec(0)

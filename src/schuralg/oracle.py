@@ -152,7 +152,8 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
 
     In x * y the left factor acts first on words, so the composite is the
     operator of y after that of x.  Exact (object dtype); agrees with the
-    combinatorial ``multiply``.
+    combinatorial ``multiply``.  The keys are ``weight_block`` members, so
+    the result is not re-validated.
     """
     import numpy as np
 
@@ -166,7 +167,7 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
             cy = np.array([y.terms[D] for D in ys], dtype=object)
             for (P, _, _), c in zip(block, np.tensordot(cy, np.tensordot(cx, composites, 1), 1)):
                 expansion[P] = expansion.get(P, 0) + c
-    return SchurElement(x.n, x.d, expansion)
+    return SchurElement._trusted(x.n, x.d, {P: c for P, c in expansion.items() if c})
 
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:

@@ -18,7 +18,6 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
 
 from .basis import check_degree
 
@@ -69,12 +68,9 @@ def conjugate(shape: Partition) -> Partition:
 
 
 def cycle_type(w: Permutation) -> Partition:
-    """Cycle lengths of w, weakly decreasing; fixed points contribute 1s."""
-    return _cycle_type(check_permutation(w))
-
-
-def _cycle_type(w: Sequence[int]) -> Partition:
-    """``cycle_type`` of a one-line permutation already known to be valid."""
+    """Cycle lengths of w, weakly decreasing; fixed points contribute 1s.
+    w is validated first (``check_permutation``), so bools and floats fail."""
+    w = check_permutation(w)
     d = len(w)
     seen = [False] * (d + 1)
     lens = []

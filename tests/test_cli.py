@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import schuralg
+from schuralg import verification
 from schuralg.cli import build_parser, main
 from schuralg.formats import canonical_json
 
@@ -285,6 +290,43 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS  oracle-equivalence" in out
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch, output):
+    # one coefficient of every nonzero product is off by one, so the
+    # structure-constants check, and only it, fails
+    real = verification._uncached_product
+
+    def bumped(Dx, Dy):
+        product = real(Dx, Dy)
+        return product and ((product[0][0], product[0][1] + 1), *product[1:])
+
+    monkeypatch.setattr(verification, "_uncached_product", bumped)
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--d", "2", "--output", output)
+    assert code == 1
+    if output == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  structure-constants (triple ")
+    else:
+        results = json.loads(out)["results"]
+        assert [r["name"] for r in results if r["status"] == "fail"] == ["structure-constants"]
+
+
+def test_centre_workload_in_one_process():
+    # the benchmark's centre job runs these two commands in one interpreter;
+    # a memo shared across (n, d) would change the second command's output
+    src = str(Path(schuralg.__file__).resolve().parent.parent)
+    code = (
+        "from schuralg.cli import main\n"
+        "for argv in (['idempotents', '--n', '3', '--d', '6'], ['dim', '--n', '2', '--d', '8']):\n"
+        "    assert main(argv + ['--output', 'json']) == 0\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "".join(
+        (GOLDEN / name).read_text() for name in ("idempotents_n3_d6.json", "dim_n2_d8.json")
+    )
 
 
 def test_verify_skips_oracle_when_guarded(capsys, monkeypatch):
