@@ -1,27 +1,19 @@
 """Ground-truth realization of elements as operators on the word space.
 
 An element of S(n,d) acts on the span of the n^d length-d words.  The basis
-operator of D maps the words of content col_sums(D) to words of content
-row_sums(D) and kills the rest (Green, Polynomial Representations of GL_n,
-LNM 830, sections 2-3), so each operator is built only on that weight
-block, rows and columns the words of one content in lexicographic order.
-Weight spaces are enumerated per content, on demand; the n^d word list
-``all_words`` serves only ``dense_operator`` and the tops of the row-sum
-law.  Every composition takes one route: the indices (or an element's
-terms) are grouped by weight key (row sums, column sums), each key's 0/1
-int64 operators are stacked, and where two keys meet one einsum forms
-every composite of the key pair, read only at the canonical word pair of
-each target index of ``basis.weight_block`` (distinct indices have
-disjoint 0/1 supports, so that one entry is its coefficient).
-``find_product_mismatch`` compares these composites, for every basis
-pair, with ``_uncached_product``, the product core without its cache, so
-the check leaves nothing in the product cache, as ``verify``'s other
-once-per-pair checks do; ``multiply_via_oracle``
-contracts them with the factors' coefficients afterwards, and
-``dense_operator`` contracts each key's stack with its coefficients.  This
-cross-checks the combinatorial product by a completely different route.
-The stacks list each word's images through the unvalidated
-``basis._word_images``, since their indices are basis matrices.
+operator of D has entry 1 at (u, v), output word u and input word v, iff
+the pair matrix of (u, v) is D (Green, Polynomial Representations of GL_n,
+LNM 830, sections 2-3).  In x * y the left factor acts first, so the
+coefficient of P in the product of two basis elements is the composite's
+entry at P's canonical pair (t, b): the number of middle words m with
+pair(m, b) = x and pair(t, m) = y.  Every route reads entries through one
+unvalidated primitive, ``_pair_positions``, from word pairs to basis
+positions, in one numpy pass per middle content over the grid of target
+pairs and middle words.  ``find_product_mismatch`` compares the counts with
+``_uncached_product``, the product core without its cache, so it leaves
+nothing in the product cache.  No route lists a word's images or forms the
+core's packed codes, so this cross-checks the combinatorial product by a
+completely different route.
 
 numpy is imported inside the functions that use it, so importing the
 package, and every command that never reaches the oracle, goes without it.
@@ -35,14 +27,16 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from fractions import Fraction
+from math import comb, lcm
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .basis import (
     Matrix,
     MultiIndex,
     Scalar,
     SchurElement,
-    _word_images,
     col_sums,
     enumerate_basis,
     row_sums,
@@ -76,98 +70,124 @@ def check_tensor_dimension(n: int, d: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
-def _weight_space(mu: tuple[int, ...]) -> dict[MultiIndex, int]:
-    """The words of content ``mu``, mapped to their lexicographic positions."""
-    return {word: k for k, word in enumerate(words_of_content(mu))}
+def _pair_positions(tops: np.ndarray, bottoms: np.ndarray, n: int) -> np.ndarray:
+    """The position in ``enumerate_basis(n, d)`` of the pair matrix of each
+    word pair.  ``tops`` (output words) and ``bottoms`` (input words) are
+    letter arrays that broadcast together, the d letters on the last axis,
+    in a dtype that holds n^2 (see ``_letters``).  Nothing is validated.
 
-
-def _basis_stack(key: tuple, members: Sequence[Matrix]) -> np.ndarray:
-    """The operators of the basis indices ``members``, all of weight key
-    ``key`` = (row sums, column sums), as one 0/1 int64 stack: entry
-    [k, r, c] is 1 iff members[k] sends the c-th word of content key[1] to
-    the r-th word of content key[0].  An image outside the block raises
-    KeyError instead of being dropped."""
+    ``enumerate_basis`` lists the sorted multisets of cells, cell (a, b)
+    being (a - 1) n + (b - 1), in decreasing lexicographic order, which is
+    the colexicographic order of the complemented cells n^2 - 1 - c, sorted
+    c_0 <= ... <= c_{d-1} (by d rounds of odd-even transposition); there the
+    rank is the sum of comb(c_k + k, k + 1).  Every term is below |M(n,d)|,
+    so int64 is exact wherever the basis fits in memory."""
     import numpy as np
 
-    rows, cols = map(_weight_space, key)
-    stack = np.zeros((len(members), len(rows), len(cols)), np.int64)
-    for k, D in enumerate(members):
-        for col, word in enumerate(cols):
-            for image in _word_images(D, word):
-                stack[k, rows[image], col] = 1
-    return stack
+    d = np.shape(tops)[-1]
+    cells = [(n - tops[..., k]) * n + (n - bottoms[..., k]) for k in range(d)]
+    for r in range(d):
+        for k in range(r % 2, d - 1, 2):
+            low, high = cells[k], cells[k + 1]
+            cells[k], cells[k + 1] = np.minimum(low, high), np.maximum(low, high)
+    positions = np.zeros(np.broadcast_shapes(np.shape(tops), np.shape(bottoms))[:-1], np.int64)
+    for k, column in enumerate(cells):
+        positions += np.array([comb(c + k, k + 1) for c in range(n * n)], np.int64)[column]
+    return positions
 
 
-def _keyed_stacks(indices: Iterable[Matrix]) -> dict[tuple, tuple[list[Matrix], np.ndarray]]:
-    """The indices grouped by weight key (row sums, column sums), in order of
-    first appearance, each group with its ``_basis_stack``."""
-    keyed: dict[tuple, list[Matrix]] = {}
-    for D in indices:
-        keyed.setdefault((row_sums(D), col_sums(D)), []).append(D)
-    return {key: (members, _basis_stack(key, members)) for key, members in keyed.items()}
-
-
-def _key_pair_composites(first: dict, then: dict) -> Iterator[tuple]:
-    """Every key pair of the grouped stacks ``first`` and ``then``, in order,
-    as (xs, ys, block, composites).  Where the first key's row sums are the
-    second key's column sums, ``block`` is ``weight_block(target, source)``
-    and composites[i, j, p] is the entry of ys[j] after xs[i] at the
-    canonical cell of block[p]; otherwise both are None.  An entry counts
-    words of one content, at most n^d <= guard, so int64 is exact."""
+def _letters(mu: tuple[int, ...]) -> np.ndarray:
+    """The words of content ``mu`` in lexicographic order, as the rows of a
+    letter array in the smallest dtype that holds n^2."""
     import numpy as np
 
-    for (middle, source), (xs, first_stack) in first.items():
-        for (target, inner), (ys, then_stack) in then.items():
-            if inner != middle:
-                yield xs, ys, None, None
-                continue
-            block = weight_block(target, source)
-            rows, cols = _weight_space(target), _weight_space(source)
-            tops = then_stack[:, [rows[top] for _, top, _ in block]]
-            bottoms = first_stack[:, :, [cols[bottom] for _, _, bottom in block]]
-            yield xs, ys, block, np.einsum("jpm,imp->ijp", tops, bottoms)
+    n, words = len(mu), list(words_of_content(mu))
+    return np.array(words, np.min_scalar_type(n * n)).reshape(len(words), sum(mu))
+
+
+def _canonical_words(indices: Sequence[Matrix], n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical pairs of the index matrices as two letter arrays, tops
+    and bottoms: each matrix's cells, with multiplicity, in row-major order."""
+    import numpy as np
+
+    counts = np.array(indices, np.int64).reshape(len(indices) * n * n)
+    cells = np.tile(np.arange(n * n, dtype=np.min_scalar_type(n * n)), len(indices))
+    tops, bottoms = np.divmod(np.repeat(cells, counts).reshape(len(indices), d), n)
+    return tops + 1, bottoms + 1
+
+
+def _coefficients(terms: dict[Matrix, Scalar], n: int, d: int) -> Callable:
+    """A function from an array of basis positions to the coefficients of
+    ``terms`` there, 0 off their support, as an object array."""
+    import numpy as np
+
+    keys = list(terms)
+    own = _pair_positions(*_canonical_words(keys, n, d), n)
+    order = np.argsort(own)
+    own, values = own[order], np.array([0, *(terms[keys[k]] for k in order)], dtype=object)
+
+    def at(positions: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(own, positions)
+        return values[(k + 1) * (own.take(k, mode="clip") == positions)]
+
+    return at
 
 
 def dense_operator(x: SchurElement) -> np.ndarray:
     """The n^d x n^d matrix of the element, exact rationals, dtype=object.
 
     Rows are output words, columns input words, both in lexicographic
-    order.
+    order.  Each weight block of the element is read at its word pairs.
     """
     import numpy as np
 
-    dim = check_tensor_dimension(x.n, x.d)
-    pos = {w: k for k, w in enumerate(all_words(x.n, x.d))}
+    n, d = x.n, x.d
+    dim = check_tensor_dimension(n, d)
+    place = n ** np.arange(d - 1, -1, -1)
+    coefficients = _coefficients(x.terms, n, d)
     M = np.zeros((dim, dim), dtype=object)
-    for (target, source), (members, stack) in _keyed_stacks(x.terms).items():
-        coeffs = np.array([x.terms[D] for D in members], dtype=object)
-        M[np.ix_([pos[w] for w in _weight_space(target)],
-                 [pos[w] for w in _weight_space(source)])] = np.tensordot(coeffs, stack, 1)
+    for key in dict.fromkeys((row_sums(D), col_sums(D)) for D in x.terms):
+        rows, cols = map(_letters, key)
+        M[np.ix_((rows - 1) @ place, (cols - 1) @ place)] = coefficients(
+            _pair_positions(rows[:, None], cols, n)
+        )
     return M
 
 
 def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Product computed as operator composition, key pair by key pair.
+    """Product computed as operator composition, one middle content at a
+    time.
 
-    In x * y the left factor acts first on words, so the composite is the
-    operator of y after that of x.  Exact (object dtype); agrees with the
-    combinatorial ``multiply``.  The keys are ``weight_block`` members, so
-    the result is not re-validated.
+    In x * y the left factor acts first on words, so the coefficient of P
+    sums, over the middle words m of every content the factors share, x's
+    coefficient at pair(m, b) times y's at pair(t, m), (t, b) being P's
+    canonical pair.  Each factor is scaled to integer numerators first, so
+    the grid is summed over ints and each coefficient divided once.  Exact;
+    agrees with the combinatorial ``multiply``.  The targets are the members
+    of the weight blocks of y's row sums and x's column sums, so the result
+    is not re-validated.
     """
     import numpy as np
 
     x._check_ambient(y)
-    check_tensor_dimension(x.n, x.d)
-    expansion: dict[Matrix, Scalar] = {}
-    pairs = _key_pair_composites(_keyed_stacks(x.terms), _keyed_stacks(y.terms))
-    for xs, ys, block, composites in pairs:
-        if block is not None:
-            cx = np.array([x.terms[D] for D in xs], dtype=object)
-            cy = np.array([y.terms[D] for D in ys], dtype=object)
-            for (P, _, _), c in zip(block, np.tensordot(cy, np.tensordot(cx, composites, 1), 1)):
-                expansion[P] = expansion.get(P, 0) + c
-    return SchurElement._trusted(x.n, x.d, {P: c for P, c in expansion.items() if c})
+    n, d = x.n, x.d
+    check_tensor_dimension(n, d)
+    scales = [lcm(*(c.denominator for c in e.terms.values())) for e in (x, y)]
+    cx, cy = (_coefficients({D: int(c * s) for D, c in e.terms.items()}, n, d)
+              for e, s in zip((x, y), scales))
+    targets = [P for rows in dict.fromkeys(map(row_sums, y.terms))
+               for cols in dict.fromkeys(map(col_sums, x.terms))
+               for P, _, _ in weight_block(rows, cols)]
+    tops, bottoms = _canonical_words(targets, n, d)
+    totals = np.zeros(len(targets), object)
+    for middle in set(map(row_sums, x.terms)) & set(map(col_sums, y.terms)):
+        words = _letters(middle)
+        weights = cx(_pair_positions(words, bottoms[:, None], n))
+        totals += (weights * cy(_pair_positions(tops[:, None], words, n))).sum(axis=1)
+    scale = scales[0] * scales[1]
+    return SchurElement._trusted(
+        n, d, {P: Fraction(c, scale) for P, c in zip(targets, totals) if c}
+    )
 
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
@@ -175,20 +195,51 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     every ordered basis pair; return the first mismatching pair in key
     order, or None.
 
-    The pairs are visited key pair by key pair, each in basis order.  A pair
-    whose keys do not meet composes to nothing, so its product must be
-    empty too; the whole key pair is asserted empty in one pass.
+    Each middle content's pass yields the triples (x, y, P) with their
+    counts, sorted; each left index x whose row sums are that content is
+    then compared with the core's expansions of x with every basis index,
+    in basis order.  A pair that meets no middle word must have an empty
+    product; an index outside M(n,d), a zero coefficient, a repeated index
+    or an unsorted expansion is a mismatch.  Key order, worked out only on
+    a failure, visits the key pairs (row sums, column sums) in order of
+    first appearance, each in basis order.
     """
+    import numpy as np
+
     check_tensor_dimension(n, d)
-    stacks = _keyed_stacks(enumerate_basis(n, d))
-    for xs, ys, block, composites in _key_pair_composites(stacks, stacks):
-        if block is None:
-            if any(itertools.starmap(_uncached_product, itertools.product(xs, ys))):
-                return next(p for p in itertools.product(xs, ys) if _uncached_product(*p))
-            continue
-        for Dx, row in zip(xs, composites.tolist()):
-            for Dy, coeffs in zip(ys, row):
-                expansion = {P: c for (P, _, _), c in zip(block, coeffs) if c}
-                if expansion != dict(_uncached_product(Dx, Dy)):
-                    return Dx, Dy
-    return None
+    B = enumerate_basis(n, d)
+    size = len(B)
+    tops, bottoms = _canonical_words(B, n, d)
+    lefts: dict[tuple[int, ...], list[int]] = {}
+    for k, D in enumerate(B):
+        lefts.setdefault(row_sums(D), []).append(k)
+    bad = []
+    for middle, xs in lefts.items():
+        words = _letters(middle)
+        pairs = (_pair_positions(words, bottoms[:, None], n) * size
+                 + _pair_positions(tops[:, None], words, n)).ravel()
+        # the grid runs target by target, so a stable sort keeps each
+        # pair's targets in order
+        order = np.argsort(pairs, kind="stable")
+        pairs, targets = pairs[order], np.repeat(np.arange(size), len(words))[order]
+        first = np.ones(len(pairs), bool)
+        first[1:] = (pairs[1:] != pairs[:-1]) | (targets[1:] != targets[:-1])
+        starts = np.flatnonzero(first)
+        counts = np.add.reduceat(np.ones_like(pairs), starts)
+        (left, right), targets = np.divmod(pairs[starts], size), targets[starts]
+        for i, lo, hi in zip(xs, np.searchsorted(left, xs), np.searchsorted(left, xs, "right")):
+            got = [(j, P, c) for j, Dy in enumerate(B) for P, c in _uncached_product(B[i], Dy)]
+            want = [(j, B[p], c) for j, p, c in zip(
+                right[lo:hi].tolist(), targets[lo:hi].tolist(), counts[lo:hi].tolist())]
+            if got != want:
+                have, need = (
+                    {j: list(terms) for j, terms in itertools.groupby(side, itemgetter(0))}
+                    for side in (got, want)
+                )
+                bad += [(i, j) for j in have.keys() | need.keys() if have.get(j) != need.get(j)]
+    if not bad:
+        return None
+    keys: dict[tuple, int] = {}
+    rank = [keys.setdefault((row_sums(D), col_sums(D)), len(keys)) for D in B]
+    i, j = min(bad, key=lambda pair: (rank[pair[0]], rank[pair[1]], *pair))
+    return B[i], B[j]

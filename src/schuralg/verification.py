@@ -135,7 +135,8 @@ def check_structure_constants(n: int, d: int) -> CheckResult:
 def check_content_margins(n: int, d: int) -> CheckResult:
     """Products inherit column sums from the left factor and row sums from
     the right factor.  Each pair is expanded once, by the uncached core;
-    the margins are recomputed here, not read from the core's records."""
+    the margins are recomputed here, not read from the core's records, the
+    factors' once per pair with a nonempty product."""
     B = enumerate_basis(n, d)
     if len(B) ** 2 <= MARGIN_PAIRS_LIMIT:
         pairs = list(itertools.product(B, repeat=2))
@@ -143,9 +144,11 @@ def check_content_margins(n: int, d: int) -> CheckResult:
         rng = random.Random(SAMPLE_SEED)
         pairs = [(rng.choice(B), rng.choice(B)) for _ in range(MARGIN_PAIRS_LIMIT)]
     for Dx, Dy in pairs:
-        for P, _ in _uncached_product(Dx, Dy):
-            if col_sums(P) != col_sums(Dx) or row_sums(P) != row_sums(Dy):
-                return _result("content-margins", False, f"pair {(Dx, Dy)} -> {P}")
+        if product := _uncached_product(Dx, Dy):
+            source, target = col_sums(Dx), row_sums(Dy)
+            for P, _ in product:
+                if col_sums(P) != source or row_sums(P) != target:
+                    return _result("content-margins", False, f"pair {(Dx, Dy)} -> {P}")
     return _result("content-margins", True, f"{len(pairs)} pairs")
 
 

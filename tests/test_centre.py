@@ -11,7 +11,6 @@ import schuralg.centre
 import schuralg.cli
 import schuralg.partitions
 import schuralg.verification
-from schuralg import oracle
 from schuralg.basis import (
     SchurElement,
     basis_element,
@@ -246,7 +245,6 @@ def test_centre_paths_never_enumerate_the_basis(monkeypatch, capsys):
     for module in (schuralg.basis, schuralg.centre, schuralg.cli):
         monkeypatch.setattr(module, "enumerate_basis", refuse)
     weight_block.cache_clear()
-    oracle._weight_space.cache_clear()
     assert expected[0] == 5
     assert schuralg.cli.main(argv) == 0
     assert (

@@ -61,6 +61,8 @@ def run_cli(capsys, *argv):
         ("character_table_d4.json", ("character-table", "--d", "4", "--output", "json")),
         ("graph_worked_left.json", ("graph", WORKED_LEFT, "--output", "json")),
         ("verify_n2_d3.txt", ("verify", "--n", "2", "--d", "3")),
+        ("verify_n3_d3.txt", ("verify", "--n", "3", "--d", "3")),
+        ("verify_n3_d3.json", ("verify", "--n", "3", "--d", "3", "--output", "json")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):

@@ -281,7 +281,7 @@ def test_index_record_holds_margins_and_factorials(n, d):
 # content, a shape or a weight key, never by a basis index or a pair.
 UNBOUNDED_MEMOS = {
     "enumerate_basis", "weight_block", "_cycle_type_histogram", "all_words",
-    "_weight_space", "partitions_of", "permutations_by_type", "character",
+    "partitions_of", "permutations_by_type", "character",
 }
 
 

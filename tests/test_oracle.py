@@ -129,8 +129,8 @@ def test_composite_operator_fully_explained():
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3)])
 def test_oracle_contracts_whole_weight_blocks(n, d):
     # each factor holds a whole weight block with distinct rational
-    # coefficients, so the coefficient contraction runs over several stacked
-    # members on both sides
+    # coefficients, so each middle word's weight reads several indices on
+    # both sides
     weights = list(compositions(d, (d,) * n))
     blocks = {
         (rows, cols): [D for D, _, _ in weight_block(rows, cols)]
@@ -166,32 +166,51 @@ def test_mismatch_search_leaves_the_product_cache_empty(n, d):
     assert _basis_product.cache_info().currsize == 0
 
 
-def test_basis_stack_does_not_revalidate(monkeypatch):
-    # the stacked indices come from enumerate_basis, so no index is checked
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (1, 4), (8, 1)])
+def test_pair_positions_are_basis_positions(n, d):
+    # the oracle's one entry primitive agrees with the basis order on every
+    # word pair, in the letter dtype the oracle builds and in int64
+    B = enumerate_basis(n, d)
+    words = all_words(n, d)
+    expected = [[B.index(matrix_from_pair(t, b, n)) for b in words] for t in words]
+    for dtype in (np.min_scalar_type(n * n), np.int64):
+        letters = np.array(words, dtype).reshape(len(words), d)
+        got = oracle._pair_positions(letters[:, None], letters, n)
+        assert got.tolist() == expected
+
+
+def test_oracle_does_not_revalidate(monkeypatch):
+    # the compared indices come from enumerate_basis, so no index is checked
     # again and no word's content is recounted
     def refuse(*args):
-        raise RuntimeError("validation inside the operator stack")
+        raise RuntimeError("validation inside the oracle")
 
-    key = ((2, 1), (1, 2))
-    members = [D for D, _, _ in weight_block(*key)]
-    expected = oracle._basis_stack(key, members)
+    enumerate_basis(2, 3)
     monkeypatch.setattr("schuralg.basis.check_matrix", refuse)
     monkeypatch.setattr("schuralg.basis.content", refuse)
-    assert np.array_equal(oracle._basis_stack(key, members), expected)
+    assert find_product_mismatch(2, 3) is None
 
 
-def test_image_outside_weight_space_raises(monkeypatch):
-    real = oracle._word_images
-
-    def leaky(D, word):
-        return [*real(D, word), (1,) * len(word)]
-
-    monkeypatch.setattr(oracle, "_word_images", leaky)
-    D = ((0, 1), (1, 1))  # row sums (1, 2): the word (1, 1, 1) is outside
-    with pytest.raises(KeyError):
-        dense_operator(basis_element(D))
-    with pytest.raises(KeyError):
-        find_product_mismatch(2, 3)
+@pytest.mark.parametrize("n, d", [(8, 1), (9, 1)])
+def test_oracle_exact_where_packed_codes_overflow(n, d):
+    # the product core's base-(d + 1) codes of n^2 digits exceed 64 bits
+    # here; the oracle's positions stay below |M(n,d)|
+    assert (d + 1) ** (n * n) > 2**63
+    B = enumerate_basis(n, d)
+    assert find_product_mismatch(n, d) is None
+    rng = random.Random(n)
+    for _ in range(5):
+        x, y = (
+            SchurElement(n, d, {D: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for D in rng.sample(B, 12)})
+            for _ in range(2)
+        )
+        assert multiply_via_oracle(x, y) == multiply(x, y)
+    for D in rng.sample(B, 8):
+        assert np.array_equal(dense_operator(basis_element(D)), brute_operator(D, n, d))
+    zero = SchurElement.zero(n, d)
+    assert multiply_via_oracle(zero, x) == zero == multiply_via_oracle(x, zero)
+    assert not dense_operator(zero).any()
 
 
 def _patch_one_product(monkeypatch, pair, rewrite):
@@ -218,6 +237,24 @@ def test_mismatch_found_on_wrong_coefficient(monkeypatch):
         monkeypatch, (Dx, Dy), lambda product: ((product[0][0], product[0][1] + 1), *product[1:])
     )
     assert find_product_mismatch(2, 2) == (Dx, Dy)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda product: (*product, (((4, 0), (0, 0)), 1)),  # entry sum d + 1
+    lambda product: (*product, (((1, 1, 0), (0, 0, 0), (0, 0, 1)), 1)),  # 3 x 3
+    lambda product: tuple(sorted((*product, (((0, 0), (0, 3)), 0)))),  # zero coefficient
+    lambda product: (*product, product[-1]),  # repeated index
+    lambda product: product[::-1],  # unsorted expansion
+], ids=["entry-sum", "three-by-three", "zero-coefficient", "repeated-index", "unsorted"])
+def test_mismatch_found_on_a_malformed_expansion(monkeypatch, rewrite):
+    # the faulty expansion holds every right term, in order, except where
+    # the rewrite reorders them, so only the malformed part can fail it
+    n, d = 2, 3
+    Dx, Dy = ((0, 1), (1, 1)), ((0, 1), (1, 1))
+    product = oracle._uncached_product(Dx, Dy)
+    assert len(product) == 2 and ((0, 0), (0, 3)) not in dict(product)
+    _patch_one_product(monkeypatch, (Dx, Dy), rewrite)
+    assert find_product_mismatch(n, d) == (Dx, Dy)
 
 
 def test_mismatch_found_on_meeting_pair_outside_the_first_key(monkeypatch):
@@ -267,6 +304,30 @@ def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
 
     monkeypatch.setattr(oracle, "_uncached_product", patched)
     assert find_product_mismatch(n, d) == early
+
+
+@pytest.mark.parametrize("key_first, basis_first", [
+    # the same left index; the right keys come in the other order
+    ((((0, 1), (0, 2)), ((1, 0), (0, 2))), (((0, 1), (0, 2)), ((0, 2), (1, 0)))),
+    # the left keys come in the other order
+    ((((1, 0), (0, 2)), ((0, 0), (1, 2))), (((0, 1), (2, 0)), ((0, 0), (1, 2)))),
+])
+def test_mismatch_search_follows_key_order_not_basis_order(monkeypatch, key_first, basis_first):
+    # two faults where key order and basis order disagree: the pair whose
+    # key pair appears first is reported
+    B = enumerate_basis(2, 3)
+    assert sorted((key_first, basis_first), key=lambda p: (B.index(p[0]), B.index(p[1])))[0] \
+        == basis_first
+    real = oracle._uncached_product
+
+    def patched(Dx, Dy):
+        product = real(Dx, Dy)
+        if (Dx, Dy) in (key_first, basis_first):
+            return ((product[0][0], product[0][1] + 1), *product[1:])
+        return product
+
+    monkeypatch.setattr(oracle, "_uncached_product", patched)
+    assert find_product_mismatch(2, 3) == key_first
 
 
 def test_import_leaves_numpy_unloaded():
