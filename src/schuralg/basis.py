@@ -232,32 +232,21 @@ def canonical_pair(entries: Matrix) -> GeneralizedPermutation:
 
 
 def apply_basis(entries: Matrix, word: MultiIndex) -> dict[MultiIndex, int]:
-    """Image of the word under the basis element: {output word: 1}.
+    """Image of the word under the basis element: {output word: 1} for each
+    word u, in lexicographic order, whose pair matrix with the word is the
+    index matrix.
 
     Nonempty only when the column sums of the matrix equal the content of
-    the word.  Candidates are built by distributing, over the positions of
-    each input letter, the multiset of destination letters prescribed by
-    that letter's column; the full n^d word space is never scanned.
+    the word; the outputs then have content its row sums, and only those
+    words are tried, not the full n^d word space.
     """
     n, d = check_matrix(entries)
     if len(word) != d:
         raise ValueError(f"word length {len(word)} != entry sum {d}")
     if col_sums(entries) != content(word, n):
         return {}
-    return dict.fromkeys(_word_images(entries, word), 1)
-
-
-def _word_images(entries: Matrix, word: MultiIndex) -> Iterator[MultiIndex]:
-    """The distinct images of a word whose content is the column sums of
-    ``entries``, as ``apply_basis`` lists them; nothing is validated."""
-    letters = range(1, len(entries) + 1)
-    positions = [[k for k, letter in enumerate(word) if letter == b] for b in letters]
-    image = [0] * len(word)
-    for arrangements in itertools.product(*map(words_of_content, zip(*entries))):
-        for cells, arrangement in zip(positions, arrangements):
-            for pos, letter in zip(cells, arrangement):
-                image[pos] = letter
-        yield tuple(image)
+    return {u: 1 for u in words_of_content(row_sums(entries))
+            if matrix_from_pair(u, word, n) == entries}
 
 
 def _coerce_scalar(value: Scalar) -> Fraction:

@@ -2,7 +2,7 @@
 
 Literals:
     matrix      "2,0,0;1,0,2;0,0,0"     rows split by ';', entries by ','
-    partition   "3,1"
+    partition   "3,1" or "[3,1]"
 
 Rationals serialize as strings "p/q" in lowest terms ("p" for integers) so
 JSON consumers never lose precision.  Canonical JSON (sorted keys, fixed
@@ -40,8 +40,11 @@ def format_matrix(entries: Matrix) -> str:
 
 
 def parse_partition(text: str) -> Partition:
+    """A partition literal: "3,1", or "[3,1]" as ``format_partition`` prints it."""
     if text.strip() in ("", "0", "[]"):
         return ()
+    if text.startswith("[") and text.endswith("]"):
+        text = text[1:-1]
     return check_partition(_parse_cells(text, "partition"))
 
 

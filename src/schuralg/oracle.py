@@ -8,12 +8,14 @@ coefficient of P in the product of two basis elements is the composite's
 entry at P's canonical pair (t, b): the number of middle words m with
 pair(m, b) = x and pair(t, m) = y.  Every route reads entries through one
 unvalidated primitive, ``_pair_positions``, from word pairs to basis
-positions, in one numpy pass per middle content over the grid of target
-pairs and middle words.  ``find_product_mismatch`` compares the counts with
-``_uncached_product``, the product core without its cache, so it leaves
-nothing in the product cache.  No route lists a word's images or forms the
-core's packed codes, so this cross-checks the combinatorial product by a
-completely different route.
+positions.  ``dense_operator`` fills its matrix one output word at a time.
+The two product routes make one numpy pass per middle content over the
+grid of target pairs and middle words: ``multiply_via_oracle`` weights it
+by the factors' Fraction coefficients, and ``find_product_mismatch``
+counts it and compares the counts with ``_uncached_product``, the product
+core without its cache, so it leaves nothing in the product cache.  No
+route lists a word's images or forms the core's packed codes, so this
+cross-checks the combinatorial product by a completely different route.
 
 numpy is imported inside the functions that use it, so importing the
 package, and every command that never reaches the oracle, goes without it.
@@ -26,15 +28,12 @@ TensorDimensionError.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .basis import (
     Matrix,
-    MultiIndex,
     Scalar,
     SchurElement,
     col_sums,
@@ -53,12 +52,6 @@ DEFAULT_MAX_TENSOR_DIM = 10_000
 
 class TensorDimensionError(RuntimeError):
     """The requested word space exceeds the configured resource guard."""
-
-
-@lru_cache(maxsize=None)
-def all_words(n: int, d: int) -> tuple[MultiIndex, ...]:
-    """All length-d words over {1, ..., n}, lexicographic."""
-    return tuple(itertools.product(range(1, n + 1), repeat=d))
 
 
 def check_tensor_dimension(n: int, d: int) -> int:
@@ -136,21 +129,20 @@ def _coefficients(terms: dict[Matrix, Scalar], n: int, d: int) -> Callable:
 def dense_operator(x: SchurElement) -> np.ndarray:
     """The n^d x n^d matrix of the element, exact rationals, dtype=object.
 
-    Rows are output words, columns input words, both in lexicographic
-    order.  Each weight block of the element is read at its word pairs.
+    Rows are output words u, columns input words v, both in lexicographic
+    order; entry (u, v) is the element's coefficient at the pair matrix of
+    (u, v), filled one row at a time.
     """
     import numpy as np
 
     n, d = x.n, x.d
     dim = check_tensor_dimension(n, d)
-    place = n ** np.arange(d - 1, -1, -1)
-    coefficients = _coefficients(x.terms, n, d)
+    words = np.indices((n,) * d, np.min_scalar_type(n * n)).reshape(d, dim).T + 1
     M = np.zeros((dim, dim), dtype=object)
-    for key in dict.fromkeys((row_sums(D), col_sums(D)) for D in x.terms):
-        rows, cols = map(_letters, key)
-        M[np.ix_((rows - 1) @ place, (cols - 1) @ place)] = coefficients(
-            _pair_positions(rows[:, None], cols, n)
-        )
+    if x.terms:
+        coefficients = _coefficients(x.terms, n, d)
+        for u, word in enumerate(words):
+            M[u] = coefficients(_pair_positions(word, words, n))
     return M
 
 
@@ -161,20 +153,16 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
     In x * y the left factor acts first on words, so the coefficient of P
     sums, over the middle words m of every content the factors share, x's
     coefficient at pair(m, b) times y's at pair(t, m), (t, b) being P's
-    canonical pair.  Each factor is scaled to integer numerators first, so
-    the grid is summed over ints and each coefficient divided once.  Exact;
-    agrees with the combinatorial ``multiply``.  The targets are the members
-    of the weight blocks of y's row sums and x's column sums, so the result
-    is not re-validated.
+    canonical pair.  Exact; agrees with the combinatorial ``multiply``.  The
+    targets are the members of the weight blocks of y's row sums and x's
+    column sums, so the result is not re-validated.
     """
     import numpy as np
 
     x._check_ambient(y)
     n, d = x.n, x.d
     check_tensor_dimension(n, d)
-    scales = [lcm(*(c.denominator for c in e.terms.values())) for e in (x, y)]
-    cx, cy = (_coefficients({D: int(c * s) for D, c in e.terms.items()}, n, d)
-              for e, s in zip((x, y), scales))
+    cx, cy = _coefficients(x.terms, n, d), _coefficients(y.terms, n, d)
     targets = [P for rows in dict.fromkeys(map(row_sums, y.terms))
                for cols in dict.fromkeys(map(col_sums, x.terms))
                for P, _, _ in weight_block(rows, cols)]
@@ -184,10 +172,7 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
         words = _letters(middle)
         weights = cx(_pair_positions(words, bottoms[:, None], n))
         totals += (weights * cy(_pair_positions(tops[:, None], words, n))).sum(axis=1)
-    scale = scales[0] * scales[1]
-    return SchurElement._trusted(
-        n, d, {P: Fraction(c, scale) for P, c in zip(targets, totals) if c}
-    )
+    return SchurElement._trusted(n, d, {P: c for P, c in zip(targets, totals) if c})
 
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:

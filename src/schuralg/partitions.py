@@ -143,23 +143,18 @@ def tableaux_count(shape: Partition) -> int:
 
 
 def _strip_removals(shape: Partition, length: int):
-    """Yield (smaller shape, strip height) for every removable border strip."""
+    """Yield (smaller shape, strip height) for every removable border strip.
+
+    On the beta-numbers shape[i] + k - 1 - i of a k-part shape, removing a
+    strip of the given length moves one bead down by that length onto an
+    empty place, and the strip's height is the number of beads it passes."""
     k = len(shape)
-    for a in range(k):
-        for b in range(a, k):
-            new = list(shape)
-            for i in range(a, b):
-                new[i] = shape[i + 1] - 1
-            new[b] = shape[a] - length + (b - a)
-            if new[b] < 0:
-                continue
-            if b + 1 < k and new[b] < shape[b + 1]:
-                continue
-            if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
-                continue
-            smaller = tuple(p for p in new if p > 0)
-            if sum(smaller) == sum(shape) - length:
-                yield smaller, b - a
+    beads = [part + k - 1 - i for i, part in enumerate(shape)]
+    for bead in beads:
+        place = bead - length
+        if place >= 0 and place not in beads:
+            parts = [b - j for j, b in enumerate(sorted({*beads, place} - {bead})) if b > j]
+            yield tuple(reversed(parts)), sum(place < b < bead for b in beads)
 
 
 @lru_cache(maxsize=None)

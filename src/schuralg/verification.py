@@ -33,7 +33,7 @@ from .centre import (
     primitive_idempotent,
 )
 from .multiplication import _uncached_product, multiply, structure_constant
-from .oracle import TensorDimensionError, all_words, find_product_mismatch
+from .oracle import TensorDimensionError, find_product_mismatch
 from .partitions import (
     Partition,
     character,
@@ -177,9 +177,10 @@ def check_row_sum_law(n: int, d: int) -> CheckResult:
     so one histogram per (top, bottom) serves every shape.
     """
     sums: dict[MultiIndex, dict[Partition, int]] = {}
+    tops = list(itertools.product(range(1, n + 1), repeat=d))
     for bottom in itertools.combinations_with_replacement(range(1, n + 1), d):
         totals = sums[bottom] = {}
-        for top in all_words(n, d):
+        for top in tops:
             pair = canonical_pair(matrix_from_pair(top, bottom, n))
             for shape, count in _cycle_type_histogram(*pair).items():
                 totals[shape] = totals.get(shape, 0) + count

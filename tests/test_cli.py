@@ -63,6 +63,11 @@ def run_cli(capsys, *argv):
         ("verify_n2_d3.txt", ("verify", "--n", "2", "--d", "3")),
         ("verify_n3_d3.txt", ("verify", "--n", "3", "--d", "3")),
         ("verify_n3_d3.json", ("verify", "--n", "3", "--d", "3", "--output", "json")),
+        # the shape literal as the command prints it, e[2,1]
+        ("idempotents_n2_d3_shape_2_1.txt",
+         ("idempotents", "--n", "2", "--d", "3", "--shape", "[2,1]")),
+        ("idempotents_n2_d3_shape_2_1.json",
+         ("idempotents", "--n", "2", "--d", "3", "--shape", "[2,1]", "--output", "json")),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):

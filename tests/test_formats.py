@@ -17,6 +17,7 @@ from schuralg.formats import (
     parse_partition,
 )
 from schuralg.multiplication import euler_classes
+from schuralg.partitions import partitions_of
 
 
 def test_matrix_literal_round_trip():
@@ -47,10 +48,12 @@ def test_partition_literal_round_trip():
     assert parse_partition("3,1") == (3, 1)
     assert format_partition((3, 1)) == "[3,1]"
     assert parse_partition("") == ()
-    with pytest.raises(ValueError):
-        parse_partition("1,3")
-    with pytest.raises(ValueError):
-        parse_partition("a,b")
+    for d in range(7):
+        for shape in partitions_of(d):
+            assert parse_partition(format_partition(shape)) == shape
+    for text in ("1,3", "a,b", "[[2,1]]", "[2,1", "2,1]", "[0]"):
+        with pytest.raises(ValueError):
+            parse_partition(text)
 
 
 def test_format_scalar_lowest_terms():

@@ -277,10 +277,12 @@ def test_index_record_holds_margins_and_factorials(n, d):
         assert _index_record(D) == (row_sums(D), col_sums(D), x_fact)
 
 
-# The memos that may grow without bound: each is keyed by an (n, d), a
-# content, a shape or a weight key, never by a basis index or a pair.
+# The memos that may grow without bound.  Each is keyed by an (n, d), a
+# content, a shape or a weight key, except ``_cycle_type_histogram``: it is
+# keyed by a canonical word pair, one entry per square-block index, and it
+# held 398 MB after ``centre_dimension(6, 8)``.
 UNBOUNDED_MEMOS = {
-    "enumerate_basis", "weight_block", "_cycle_type_histogram", "all_words",
+    "enumerate_basis", "weight_block", "_cycle_type_histogram",
     "partitions_of", "permutations_by_type", "character",
 }
 

@@ -1,0 +1,81 @@
+"""No dead names in the package: every import of a module is read there,
+and every module-level private name is read somewhere in the package.
+Names listed in ``__all__`` of ``__init__`` count as read."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schuralg"
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(tree):
+    """The strings listed in a module-level ``__all__``."""
+    return {
+        elt.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id == "__all__"
+        for elt in node.value.elts
+    }
+
+
+def _loaded(tree):
+    """The names a module loads."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _reads(tree):
+    """The names a module loads, the attributes it reads and the names it
+    imports from other modules."""
+    names = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imports(tree):
+    """The names a module binds by import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _private_definitions(tree):
+    """The single-underscore names a module defines at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_import_is_read():
+    exported = _exported(MODULES["__init__.py"])
+    unread = []
+    for filename, tree in MODULES.items():
+        loaded = _loaded(tree) | (exported if filename == "__init__.py" else set())
+        unread += [f"{filename}: {name}" for name in _imports(tree) if name not in loaded]
+    assert unread == []
+
+
+def test_every_private_name_is_read():
+    read = set().union(*map(_reads, MODULES.values()))
+    unread = [
+        f"{filename}: {name}"
+        for filename, tree in MODULES.items()
+        for name in _private_definitions(tree) if name not in read
+    ]
+    assert unread == []

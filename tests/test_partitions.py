@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schuralg.partitions import (
+    _strip_removals,
     character,
     check_partition,
     class_size,
@@ -68,6 +69,29 @@ def enumerate_standard_tableaux(shape: tuple[int, ...]) -> int:
 
     place(1)
     return count
+
+
+def brute_rim_hooks(shape, length):
+    """Independent enumeration: the shapes nu inside ``shape`` whose skew
+    shape shape/nu has ``length`` cells, is connected and holds no 2 x 2
+    square, each with its height, the number of rows it meets minus one."""
+    cells = {(r, c) for r, row in enumerate(shape) for c in range(row)}
+    out = []
+    for nu in partitions_of(sum(shape) - length):
+        if len(nu) > len(shape) or any(p > q for p, q in zip(nu, shape)):
+            continue
+        strip = cells - {(r, c) for r, row in enumerate(nu) for c in range(row)}
+        if any({(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= strip for r, c in strip):
+            continue
+        seen, todo = set(), [min(strip)]
+        while todo:
+            r, c = todo.pop()
+            if (r, c) in strip and (r, c) not in seen:
+                seen.add((r, c))
+                todo += [(r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)]
+        if seen == strip:
+            out.append((nu, len({r for r, _ in strip}) - 1))
+    return sorted(out)
 
 
 @st.composite
@@ -259,13 +283,13 @@ def test_character_table_s4_frozen():
 
 
 def test_character_identity_column_is_tableaux_count():
-    for d in range(1, 7):
+    for d in range(1, 9):
         for shape in partitions_of(d):
             assert character(shape, (1,) * d) == tableaux_count(shape)
 
 
 def test_first_orthogonality():
-    for d in range(1, 7):
+    for d in range(1, 9):
         shapes = partitions_of(d)
         for a in shapes:
             for b in shapes:
@@ -274,6 +298,14 @@ def test_first_orthogonality():
                     for mu in shapes
                 )
                 assert s == (factorial(d) if a == b else 0)
+
+
+def test_strip_removals_are_the_rim_hooks():
+    for d in range(1, 11):
+        for shape in partitions_of(d):
+            for length in range(1, d + 1):
+                got = sorted(_strip_removals(shape, length))
+                assert got == brute_rim_hooks(shape, length), (shape, length)
 
 
 def test_character_weight_mismatch_raises():

@@ -1,18 +1,31 @@
-"""The once-per-pair product checks of ``verify``: they leave the product
-cache empty, expand each pair once, and name the first fault injected
-into the product core they check."""
+"""The checks of ``verify``: the once-per-pair product checks leave the
+product cache empty and expand each pair once, and every check fails, and
+names the input, when a fault is injected into the route it reads at one
+input."""
 
 import itertools
+import random
 
 import pytest
 
 from schuralg import verification
-from schuralg.basis import col_sums, enumerate_basis, row_sums
+from schuralg.basis import (
+    SchurElement,
+    col_sums,
+    enumerate_basis,
+    identity_element,
+    row_sums,
+)
 from schuralg.multiplication import _basis_product
 from schuralg.verification import (
     FAIL,
     PASS,
+    CheckResult,
+    check_action_convention,
+    check_associativity,
+    check_characters,
     check_content_margins,
+    check_identity_neutral,
     check_structure_constants,
 )
 
@@ -114,3 +127,58 @@ def test_margin_check_names_the_pair_with_wrong_row_sums(monkeypatch, meeting):
     assert check_content_margins(n, d) == verification.CheckResult(
         "content-margins", FAIL, f"pair {pair} -> {bad}"
     )
+
+
+def test_identity_check_names_the_index_it_fails_at(monkeypatch):
+    n, d = 2, 3
+    D = enumerate_basis(n, d)[5]
+    x, real = SchurElement(n, d, {D: 1}), verification.multiply
+
+    def patched(a, b):
+        return SchurElement.zero(n, d) if b == x else real(a, b)
+
+    monkeypatch.setattr(verification, "multiply", patched)
+    assert check_identity_neutral(n, d) == CheckResult("identity-neutral", FAIL, f"failed at {D}")
+
+
+def test_associativity_check_names_the_triple_it_fails_at(monkeypatch):
+    # x * y is off by the identity in the first sampled triple, so
+    # (x * y) * z gains z and x * (y * z) does not
+    n, d = 2, 3
+    rng, B = random.Random(0), enumerate_basis(n, d)
+    x, y, z = (SchurElement(n, d, {rng.choice(B): 1}) for _ in range(3))
+    real = verification.multiply
+
+    def patched(a, b):
+        product = real(a, b)
+        return product + identity_element(n, d) if (a, b) == (x, y) else product
+
+    monkeypatch.setattr(verification, "multiply", patched)
+    assert check_associativity(n, d) == CheckResult(
+        "associativity", FAIL, f"{x!r}, {y!r}, {z!r}"
+    )
+
+
+def test_action_convention_check_names_the_index_it_fails_at(monkeypatch):
+    n, d = 2, 3
+    D = enumerate_basis(n, d)[7]
+    real = verification.class_coefficient
+    monkeypatch.setattr(
+        verification, "class_coefficient", lambda shape, E: real(shape, E) + (E == D)
+    )
+    assert check_action_convention(n, d) == CheckResult(
+        "action-convention", FAIL, f"stored count off at {D}"
+    )
+
+
+@pytest.mark.parametrize("shape, cls, detail", [
+    ((2, 1, 1), (1, 1, 1, 1), "identity column off at (2, 1, 1)"),
+    # the first sum the fault enters is that of (4,) with (2, 1, 1)
+    ((2, 1, 1), (3, 1), "orthogonality off at (4,),(2, 1, 1)"),
+])
+def test_characters_check_names_the_shape_it_fails_at(monkeypatch, shape, cls, detail):
+    real = verification.character
+    monkeypatch.setattr(
+        verification, "character", lambda a, mu: real(a, mu) + ((a, mu) == (shape, cls))
+    )
+    assert check_characters(4) == CheckResult("characters", FAIL, detail)
