@@ -46,9 +46,9 @@ and each output code is decoded once through the bounded ``_shared_matrix``
 memo, so the cached expansions and the products of ``multiply`` hold one
 tuple per matrix instead of one per term.  Each factor's margins and x!
 are read from one bounded record per index (``_index_record``), so a pair
-whose margins do not meet costs two lookups.  The checks that visit each
-basis pair once (the oracle's all-pairs check, and ``verify``'s
-structure-constants and content-margins checks) call the uncached core,
+whose margins do not meet costs two lookups.  The checks that expand each
+pair once (the oracle's all-pairs check, and ``verify``'s structure-constants
+and content-margins checks, over meeting pairs only) call the uncached core,
 ``_uncached_product``, and leave the product cache empty.
 
 Orientation is load-bearing and locked by the regression tests: in x * y
@@ -250,7 +250,8 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
     ``multiply``; the two routes are cross-checked exhaustively in tests.
     Once the margins match, every complete filling of the cells uses both
     factors up: the splits in column j total col_sums(left)[j], and those
-    in row i total row_sums(right)[i]; so no remainder is tested.
+    in row i total row_sums(right)[i]; so no remainder is tested.  A zero
+    cell has one split, the zero vector, of weight 1, so it is skipped.
     """
     n, d = check_matrix(target)
     for other in (left, right):
@@ -260,7 +261,7 @@ def structure_constant(left: Matrix, right: Matrix, target: Matrix) -> int:
         return 0
     rem_left = [list(row) for row in left]
     rem_right = [list(row) for row in right]
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n) if target[i][j]]
 
     def rec(ci: int) -> int:
         if ci == len(cells):

@@ -24,6 +24,7 @@ from .basis import (
     identity_element,
     matrix_from_pair,
     row_sums,
+    weight_block,
 )
 from .centre import (
     _cycle_type_histogram,
@@ -47,10 +48,10 @@ from .partitions import (
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
-# Sizes above which a check samples instead of running exhaustively, and
-# the seed it samples with.
-STRUCTURE_TRIPLES_LIMIT = 200_000
-SAMPLED_TRIPLES = 300
+# Meeting pairs above which a check samples instead of scanning them all,
+# the pairs the structure check then draws, and the seed; see ``_scope``.
+STRUCTURE_PAIRS_LIMIT = 1_000
+SAMPLED_PAIRS = 50
 MARGIN_PAIRS_LIMIT = 10_000
 SAMPLE_SEED = 0
 
@@ -108,48 +109,59 @@ def check_oracle_equivalence(n: int, d: int) -> CheckResult:
     return _result("oracle-equivalence", True, f"{pairs} ordered pairs")
 
 
+def _meeting(n: int, d: int) -> dict[Matrix, list[Matrix]]:
+    """Each basis index x, mapped to the indices y that meet it, with
+    col_sums(y) = row_sums(x), both in basis order; only these products are nonzero."""
+    by_cols: dict[tuple[int, ...], list[Matrix]] = {}
+    for Dy in enumerate_basis(n, d):
+        by_cols.setdefault(col_sums(Dy), []).append(Dy)
+    return {Dx: by_cols[row_sums(Dx)] for Dx in enumerate_basis(n, d)}
+
+
+def _scope(n: int, d: int, limit: int, draws: int) -> tuple[list[tuple[Matrix, Matrix]], str]:
+    """The meeting pairs a check visits, and a detail naming them: all, in
+    basis order, if at most ``limit``, else ``draws`` seeded draws, uniform
+    over them.  A draw picks x weighted by the number of indices meeting it,
+    then one of those, so the pairs are never listed."""
+    meeting = _meeting(n, d)
+    total = sum(map(len, meeting.values()))
+    if total <= limit:
+        return [(x, y) for x, ys in meeting.items() for y in ys], f"all {total} meeting pairs"
+    rng = random.Random(SAMPLE_SEED)
+    xs = rng.choices(list(meeting), [len(ys) for ys in meeting.values()], k=draws)
+    return [(x, rng.choice(meeting[x])) for x in xs], f"{draws} of {total} meeting pairs"
+
+
 def check_structure_constants(n: int, d: int) -> CheckResult:
-    """Every coefficient of the product core agrees with
-    ``structure_constant``.  The exhaustive scan expands each pair once and
-    reads it at every target in basis order, so its triples, and the first
-    failing one, come in ``itertools.product(B, repeat=3)`` order.  Each
-    expansion is read once, so the core is called uncached."""
-    B = enumerate_basis(n, d)
-    total = len(B) ** 3
-    if total <= STRUCTURE_TRIPLES_LIMIT:
-        groups = ((Dx, Dy, B) for Dx, Dy in itertools.product(B, repeat=2))
-        scope = f"all {total} triples"
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        groups = ((rng.choice(B), rng.choice(B), (rng.choice(B),))
-                  for _ in range(SAMPLED_TRIPLES))
-        scope = f"{SAMPLED_TRIPLES} sampled triples"
-    for Dx, Dy, targets in groups:
+    """The product core agrees with ``structure_constant`` at (x, y, t) for
+    each scoped meeting pair (x, y) and t in the weight block (row_sums(y),
+    col_sums(x)); every other coefficient is zero on both sides by the
+    margin laws.  Each pair is expanded once, uncached, and read at its block
+    reversed, which is basis order, so an exhaustive scan meets its triples,
+    and the first failing one, in ``itertools.product(B, repeat=3)`` order."""
+    pairs, scope = _scope(n, d, STRUCTURE_PAIRS_LIMIT, SAMPLED_PAIRS)
+    triples = nonzero = 0
+    for Dx, Dy in pairs:
         table = dict(_uncached_product(Dx, Dy))
-        for Dt in targets:
-            if structure_constant(Dx, Dy, Dt) != table.get(Dt, 0):
+        for Dt, _, _ in reversed(weight_block(row_sums(Dy), col_sums(Dx))):
+            if (c := structure_constant(Dx, Dy, Dt)) != table.get(Dt, 0):
                 return _result("structure-constants", False, f"triple {(Dx, Dy, Dt)}")
-    return _result("structure-constants", True, scope)
+            triples, nonzero = triples + 1, nonzero + (c != 0)
+    return _result("structure-constants", True, f"{scope}, {triples} triples, {nonzero} nonzero")
 
 
 def check_content_margins(n: int, d: int) -> CheckResult:
-    """Products inherit column sums from the left factor and row sums from
-    the right factor.  Each pair is expanded once, by the uncached core;
-    the margins are recomputed here, not read from the core's records, the
-    factors' once per pair with a nonempty product."""
-    B = enumerate_basis(n, d)
-    if len(B) ** 2 <= MARGIN_PAIRS_LIMIT:
-        pairs = list(itertools.product(B, repeat=2))
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        pairs = [(rng.choice(B), rng.choice(B)) for _ in range(MARGIN_PAIRS_LIMIT)]
+    """Products of the scoped meeting pairs inherit column sums from the left
+    factor and row sums from the right (the oracle checks that the other
+    products are empty).  Each pair is expanded once, by the uncached core;
+    the margins are recomputed here, not read from the core's records."""
+    pairs, scope = _scope(n, d, MARGIN_PAIRS_LIMIT, MARGIN_PAIRS_LIMIT)
     for Dx, Dy in pairs:
-        if product := _uncached_product(Dx, Dy):
-            source, target = col_sums(Dx), row_sums(Dy)
-            for P, _ in product:
-                if col_sums(P) != source or row_sums(P) != target:
-                    return _result("content-margins", False, f"pair {(Dx, Dy)} -> {P}")
-    return _result("content-margins", True, f"{len(pairs)} pairs")
+        source, target = col_sums(Dx), row_sums(Dy)
+        for P, _ in _uncached_product(Dx, Dy):
+            if col_sums(P) != source or row_sums(P) != target:
+                return _result("content-margins", False, f"pair {(Dx, Dy)} -> {P}")
+    return _result("content-margins", True, scope)
 
 
 def check_centrality(n: int, d: int) -> CheckResult:
@@ -334,13 +346,16 @@ def check_characters(d: int) -> CheckResult:
 
 
 def check_associativity(n: int, d: int, count: int = 50, seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
-    B = enumerate_basis(n, d)
+    """(x y) z = x (y z) on seeded chained triples: x is uniform over the
+    basis, y meets x and z meets y, so neither side is zero."""
+    rng, meeting = random.Random(seed), _meeting(n, d)
     for _ in range(count):
-        x, y, z = (SchurElement(n, d, {rng.choice(B): 1}) for _ in range(3))
+        Dx = rng.choice(enumerate_basis(n, d))
+        Dy = rng.choice(meeting[Dx])
+        x, y, z = (SchurElement(n, d, {D: 1}) for D in (Dx, Dy, rng.choice(meeting[Dy])))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             return _result("associativity", False, f"{x!r}, {y!r}, {z!r}")
-    return _result("associativity", True, f"{count} random triples")
+    return _result("associativity", True, f"{count} chained triples")
 
 
 def run_suite(n: int, d: int) -> list[CheckResult]:

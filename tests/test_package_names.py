@@ -1,6 +1,7 @@
 """No dead names in the package: every import of a module is read there,
-and every module-level private name is read somewhere in the package.
-Names listed in ``__all__`` of ``__init__`` count as read."""
+and every module-level private name and UPPER_CASE constant is read
+somewhere in the package.  Names listed in ``__all__`` of ``__init__``
+count as read."""
 
 import ast
 from pathlib import Path
@@ -48,18 +49,25 @@ def _imports(tree):
             yield from (alias.asname or alias.name for alias in node.names)
 
 
-def _private_definitions(tree):
-    """The single-underscore names a module defines at module level."""
+def _definitions(tree):
+    """The names a module binds at module level by def, class or
+    assignment, each name of a tuple target included."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _unread(keep):
+    """The module-level names that ``keep`` selects and no module reads."""
+    read = set().union(*map(_reads, MODULES.values())) | _exported(MODULES["__init__.py"])
+    return [
+        f"{filename}: {name}"
+        for filename, tree in MODULES.items()
+        for name in _definitions(tree) if keep(name) and name not in read
+    ]
 
 
 def test_every_import_is_read():
@@ -72,10 +80,8 @@ def test_every_import_is_read():
 
 
 def test_every_private_name_is_read():
-    read = set().union(*map(_reads, MODULES.values()))
-    unread = [
-        f"{filename}: {name}"
-        for filename, tree in MODULES.items()
-        for name in _private_definitions(tree) if name not in read
-    ]
-    assert unread == []
+    assert _unread(lambda name: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_every_constant_is_read():
+    assert _unread(str.isupper) == []

@@ -1,12 +1,14 @@
 """The checks of ``verify``: the once-per-pair product checks leave the
-product cache empty and expand each pair once, and every check fails, and
-names the input, when a fault is injected into the route it reads at one
-input."""
+product cache empty and expand each meeting pair once, the product checks
+hand only meeting pairs to the core and to ``multiply``, and every check
+fails, and names the input, when a fault is injected into the route it
+reads at one input."""
 
 import itertools
 import random
 
 import pytest
+from test_multiplication import _unweighted_product
 
 from schuralg import verification
 from schuralg.basis import (
@@ -29,6 +31,8 @@ from schuralg.verification import (
     check_structure_constants,
 )
 
+PRODUCT_CHECKS = [check_structure_constants, check_content_margins, check_associativity]
+
 ONCE_PER_PAIR = [check_content_margins, check_structure_constants]
 
 
@@ -38,6 +42,10 @@ def test_once_per_pair_checks_leave_the_product_cache_empty(check, n, d):
     _basis_product.cache_clear()
     assert check(n, d).status == PASS
     assert _basis_product.cache_info().currsize == 0
+
+
+def _meets(Dx, Dy):
+    return row_sums(Dx) == col_sums(Dy)
 
 
 def test_exhaustive_structure_check_expands_each_pair_once(monkeypatch):
@@ -51,8 +59,47 @@ def test_exhaustive_structure_check_expands_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(verification, "_uncached_product", counted)
     result = check_structure_constants(2, 3)
-    assert result.status == PASS and result.detail == f"all {len(B) ** 3} triples"
-    assert calls == list(itertools.product(B, repeat=2))
+    meeting = [pair for pair in itertools.product(B, repeat=2) if _meets(*pair)]
+    triples = sum(
+        col_sums(Dt) == col_sums(Dx) and row_sums(Dt) == row_sums(Dy)
+        for Dx, Dy in meeting for Dt in B
+    )
+    nonzero = sum(len(real(*pair)) for pair in meeting)
+    assert result.status == PASS and result.detail == (
+        f"all {len(meeting)} meeting pairs, {triples} triples, {nonzero} nonzero"
+    )
+    assert calls == meeting
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 6)])
+def test_product_checks_hand_only_meeting_pairs_to_the_core(monkeypatch, n, d):
+    real_core, real_multiply = verification._uncached_product, verification.multiply
+    pairs = []
+
+    def core(Dx, Dy):
+        pairs.append((Dx, Dy))
+        return real_core(Dx, Dy)
+
+    def recorded(x, y):
+        pairs.extend(itertools.product(x.terms, y.terms))
+        return real_multiply(x, y)
+
+    monkeypatch.setattr(verification, "_uncached_product", core)
+    monkeypatch.setattr(verification, "multiply", recorded)
+    assert all(check(n, d).status == PASS for check in PRODUCT_CHECKS)
+    assert pairs and all(_meets(*pair) for pair in pairs)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 6), (3, 4)])
+def test_sampled_structure_check_fails_when_every_coefficient_is_off(monkeypatch, n, d):
+    # uniform draws from B^3 meet no nonzero coefficient at (3,3) and (3,4)
+    real = verification._uncached_product
+    monkeypatch.setattr(
+        verification,
+        "_uncached_product",
+        lambda Dx, Dy: tuple((P, c + 1) for P, c in real(Dx, Dy)),
+    )
+    assert check_structure_constants(n, d).status == FAIL
 
 
 def _meeting_pairs_with_terms(B, count):
@@ -106,22 +153,38 @@ def test_structure_check_names_the_earlier_faulty_pair(monkeypatch):
     assert result.detail == f"triple {(*early, real(*early)[0][0])}"
 
 
-@pytest.mark.parametrize("meeting", [True, False])
-def test_margin_check_names_the_pair_with_wrong_row_sums(monkeypatch, meeting):
-    n, d = 2, 3
-    B = enumerate_basis(n, d)
-    pair = next(
-        (Dx, Dy) for Dx, Dy in itertools.product(B, repeat=2)
-        if (row_sums(Dx) == col_sums(Dy)) == meeting and row_sums(Dx) != row_sums(Dy)
-    )
+def _plus_wrong_row_sums(pair, product):
+    """The product and one more index, with the left factor's column sums
+    but not the right factor's row sums."""
     Dx, Dy = pair
-    # the right column sums but the row sums of the wrong factor
+    B = enumerate_basis(len(Dx), sum(map(sum, Dx)))
     bad = next(P for P in B if col_sums(P) == col_sums(Dx) and row_sums(P) != row_sums(Dy))
+    return (*product, (bad, 1))
+
+
+def _transposed(pair, product):
+    """Every output index transposed, which swaps its margins."""
+    return tuple((tuple(zip(*P)), c) for P, c in product)
+
+
+@pytest.mark.parametrize("n, d, pair, fault", [
+    (2, 3, (((0, 0), (0, 3)), ((0, 1), (0, 2))), _plus_wrong_row_sums),
+    # a meeting pair that 10000 uniform draws from B^2 miss
+    (3, 3, (((0, 0, 0), (0, 0, 0), (0, 0, 3)), ((0, 0, 0), (0, 0, 1), (0, 0, 2))),
+     _transposed),
+], ids=["2-3-extra-index", "3-3-transposed"])
+def test_margin_check_names_the_pair_with_wrong_margins(monkeypatch, n, d, pair, fault):
+    Dx, Dy = pair
+    assert _meets(Dx, Dy) and row_sums(Dx) != row_sums(Dy)
     real = verification._uncached_product
+    bad = next(
+        P for P, _ in fault(pair, real(*pair))
+        if col_sums(P) != col_sums(Dx) or row_sums(P) != row_sums(Dy)
+    )
 
     def patched(left, right):
         product = real(left, right)
-        return (*product, (bad, 1)) if (left, right) == pair else product
+        return fault(pair, product) if (left, right) == pair else product
 
     monkeypatch.setattr(verification, "_uncached_product", patched)
     assert check_content_margins(n, d) == verification.CheckResult(
@@ -142,11 +205,14 @@ def test_identity_check_names_the_index_it_fails_at(monkeypatch):
 
 
 def test_associativity_check_names_the_triple_it_fails_at(monkeypatch):
-    # x * y is off by the identity in the first sampled triple, so
+    # x * y is off by the identity in the first chained triple, so
     # (x * y) * z gains z and x * (y * z) does not
     n, d = 2, 3
     rng, B = random.Random(0), enumerate_basis(n, d)
-    x, y, z = (SchurElement(n, d, {rng.choice(B): 1}) for _ in range(3))
+    chain = [rng.choice(B)]
+    for _ in range(2):
+        chain.append(rng.choice([D for D in B if _meets(chain[-1], D)]))
+    x, y, z = (SchurElement(n, d, {D: 1}) for D in chain)
     real = verification.multiply
 
     def patched(a, b):
@@ -157,6 +223,17 @@ def test_associativity_check_names_the_triple_it_fails_at(monkeypatch):
     assert check_associativity(n, d) == CheckResult(
         "associativity", FAIL, f"{x!r}, {y!r}, {z!r}"
     )
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 6)])
+def test_associativity_check_refuses_the_unweighted_rule(monkeypatch, n, d):
+    # uniform basis triples almost never multiply to nonzero at (3,3) and (2,6)
+    monkeypatch.setattr(
+        verification,
+        "multiply",
+        lambda x, y: SchurElement(n, d, _unweighted_product(x.terms, y.terms)),
+    )
+    assert check_associativity(n, d).status == FAIL
 
 
 def test_action_convention_check_names_the_index_it_fails_at(monkeypatch):
