@@ -44,21 +44,23 @@ def check_permutation(images: tuple[int, ...]) -> Permutation:
 
 
 @lru_cache(maxsize=None, typed=True)
-def partitions_of(d: int, max_part: int | None = None) -> tuple[Partition, ...]:
+def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, each once, in reverse lexicographic order.
 
     ``partitions_of(4)`` is ``((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))``.
     ``d = 0`` yields the single empty partition.
     """
     check_degree(d)
+    return tuple(_partitions(d, d))
+
+
+def _partitions(d: int, largest: int):
+    """Yield the partitions of d with parts at most ``largest``, reverse lexicographically."""
     if d == 0:
-        return ((),)
-    bound = d if max_part is None else min(max_part, d)
-    out: list[Partition] = []
-    for first in range(bound, 0, -1):
-        for rest in partitions_of(d - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+        yield ()
+    for first in range(min(largest, d), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first, *rest)
 
 
 def conjugate(shape: Partition) -> Partition:

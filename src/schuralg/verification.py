@@ -15,7 +15,6 @@ from math import comb, factorial, lcm
 
 from .basis import (
     Matrix,
-    MultiIndex,
     SchurElement,
     basis_count,
     canonical_pair,
@@ -49,7 +48,7 @@ from .partitions import (
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 # Meeting pairs above which a check samples instead of scanning them all,
-# the pairs the structure check then draws, and the seed; see ``_scope``.
+# the pairs sampled by structure and associativity, and the seed; see ``_scope``.
 STRUCTURE_PAIRS_LIMIT = 1_000
 SAMPLED_PAIRS = 50
 MARGIN_PAIRS_LIMIT = 10_000
@@ -119,17 +118,19 @@ def _meeting(n: int, d: int) -> dict[Matrix, list[Matrix]]:
 
 
 def _scope(n: int, d: int, limit: int, draws: int) -> tuple[list[tuple[Matrix, Matrix]], str]:
-    """The meeting pairs a check visits, and a detail naming them: all, in
-    basis order, if at most ``limit``, else ``draws`` seeded draws, uniform
-    over them.  A draw picks x weighted by the number of indices meeting it,
-    then one of those, so the pairs are never listed."""
+    """The meeting pairs a check visits, distinct and in basis order, and a
+    detail naming them: all if at most ``limit``, else those at ``draws``
+    positions of the basis-order scan, drawn by the seeded rng without
+    replacement.  The scan is a generator, so the pairs are never listed."""
     meeting = _meeting(n, d)
     total = sum(map(len, meeting.values()))
     if total <= limit:
-        return [(x, y) for x, ys in meeting.items() for y in ys], f"all {total} meeting pairs"
-    rng = random.Random(SAMPLE_SEED)
-    xs = rng.choices(list(meeting), [len(ys) for ys in meeting.values()], k=draws)
-    return [(x, rng.choice(meeting[x])) for x in xs], f"{draws} of {total} meeting pairs"
+        picks, scope = range(total), f"all {total} meeting pairs"
+    else:
+        picks = set(random.Random(SAMPLE_SEED).sample(range(total), draws))
+        scope = f"{draws} of {total} meeting pairs"
+    scan = ((x, y) for x, ys in meeting.items() for y in ys)
+    return [pair for k, pair in enumerate(scan) if k in picks], scope
 
 
 def check_structure_constants(n: int, d: int) -> CheckResult:
@@ -137,8 +138,8 @@ def check_structure_constants(n: int, d: int) -> CheckResult:
     each scoped meeting pair (x, y) and t in the weight block (row_sums(y),
     col_sums(x)); every other coefficient is zero on both sides by the
     margin laws.  Each pair is expanded once, uncached, and read at its block
-    reversed, which is basis order, so an exhaustive scan meets its triples,
-    and the first failing one, in ``itertools.product(B, repeat=3)`` order."""
+    reversed, which is basis order, so every scan meets its triples, and the
+    first failing one, in ``itertools.product(B, repeat=3)`` order."""
     pairs, scope = _scope(n, d, STRUCTURE_PAIRS_LIMIT, SAMPLED_PAIRS)
     triples = nonzero = 0
     for Dx, Dy in pairs:
@@ -188,21 +189,17 @@ def check_row_sum_law(n: int, d: int) -> CheckResult:
     count of s in the cycle-type histogram of that matrix's canonical pair,
     so one histogram per (top, bottom) serves every shape.
     """
-    sums: dict[MultiIndex, dict[Partition, int]] = {}
+    sizes = {shape: class_size(shape) for shape in partitions_of(d)}
     tops = list(itertools.product(range(1, n + 1), repeat=d))
     for bottom in itertools.combinations_with_replacement(range(1, n + 1), d):
-        totals = sums[bottom] = {}
+        totals = dict.fromkeys(sizes, 0)
         for top in tops:
             pair = canonical_pair(matrix_from_pair(top, bottom, n))
             for shape, count in _cycle_type_histogram(*pair).items():
-                totals[shape] = totals.get(shape, 0) + count
-    for shape in partitions_of(d):
-        expected = class_size(shape)
-        for bottom, totals in sums.items():
-            if (got := totals.get(shape, 0)) != expected:
-                return _result(
-                    "row-sum-law", False, f"shape {shape}, word {bottom}: {got}"
-                )
+                totals[shape] += count
+        for shape, size in sizes.items():
+            if (got := totals[shape]) != size:
+                return _result("row-sum-law", False, f"shape {shape}, word {bottom}: {got}")
     return _result("row-sum-law", True)
 
 
@@ -329,33 +326,31 @@ def check_idempotents(n: int, d: int) -> CheckResult:
 
 
 def check_characters(d: int) -> CheckResult:
-    shapes = partitions_of(d)
-    for shape in shapes:
+    sizes = {mu: class_size(mu) for mu in partitions_of(d)}
+    for shape in sizes:
         if character(shape, (1,) * d) != tableaux_count(shape):
             return _result("characters", False, f"identity column off at {shape}")
-    if sum(class_size(mu) for mu in shapes) != factorial(d):
+    if sum(sizes.values()) != factorial(d):
         return _result("characters", False, "class sizes do not sum to d!")
-    for a in shapes:
-        for b in shapes:
-            s = sum(
-                class_size(mu) * character(a, mu) * character(b, mu) for mu in shapes
-            )
+    for a in sizes:
+        for b in sizes:
+            s = sum(size * character(a, mu) * character(b, mu) for mu, size in sizes.items())
             if s != (factorial(d) if a == b else 0):
                 return _result("characters", False, f"orthogonality off at {a},{b}")
-    return _result("characters", True, f"{len(shapes)} irreducibles")
+    return _result("characters", True, f"{len(sizes)} irreducibles")
 
 
-def check_associativity(n: int, d: int, count: int = 50, seed: int = 0) -> CheckResult:
-    """(x y) z = x (y z) on seeded chained triples: x is uniform over the
-    basis, y meets x and z meets y, so neither side is zero."""
-    rng, meeting = random.Random(seed), _meeting(n, d)
-    for _ in range(count):
-        Dx = rng.choice(enumerate_basis(n, d))
-        Dy = rng.choice(meeting[Dx])
+def check_associativity(n: int, d: int, count: int = SAMPLED_PAIRS) -> CheckResult:
+    """(x y) z = x (y z) on chained triples: (x, y) are the meeting pairs
+    ``_scope`` picks, at most ``count``, and z is a seeded draw from the
+    indices meeting y, so neither side is zero."""
+    rng, meeting = random.Random(SAMPLE_SEED), _meeting(n, d)
+    pairs, _ = _scope(n, d, count, count)
+    for Dx, Dy in pairs:
         x, y, z = (SchurElement(n, d, {D: 1}) for D in (Dx, Dy, rng.choice(meeting[Dy])))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             return _result("associativity", False, f"{x!r}, {y!r}, {z!r}")
-    return _result("associativity", True, f"{count} chained triples")
+    return _result("associativity", True, f"{len(pairs)} chained triples")
 
 
 def run_suite(n: int, d: int) -> list[CheckResult]:

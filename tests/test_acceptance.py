@@ -178,7 +178,7 @@ def test_criterion_8_character_suite():
 
 def test_criterion_9_associativity():
     ok = all(
-        check_associativity(n, d, count=200, seed=20_240 + n + d).status == PASS
+        check_associativity(n, d, count=200).status == PASS
         for (n, d) in [(2, 4), (3, 3)]
     )
     report(9, ok, "200 random basis triples at (2,4) and (3,3), exact")

@@ -271,6 +271,18 @@ def test_mismatch_found_on_meeting_pair_outside_the_first_key(monkeypatch):
     assert find_product_mismatch(n, d) == (Dx, Dy)
 
 
+def test_mismatch_found_on_a_lost_expansion(monkeypatch):
+    # the core loses every term of one pair, so where the two sides first
+    # differ the oracle's term names that pair and the core's a later one
+    # (or none, if the pair is the last of its row to have terms)
+    B = enumerate_basis(2, 2)
+    for pair in itertools.product(B, repeat=2):
+        if oracle._uncached_product(*pair):
+            with monkeypatch.context() as patch:
+                _patch_one_product(patch, pair, lambda product: ())
+                assert find_product_mismatch(2, 2) == pair
+
+
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 3)])
 def test_every_ordered_pair_is_compared(monkeypatch, n, d):
     # a fault injected on any one ordered pair, whether the keys meet or
@@ -313,10 +325,13 @@ def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
     ((((0, 1), (0, 2)), ((1, 0), (0, 2))), (((0, 1), (0, 2)), ((0, 2), (1, 0)))),
     # the left keys come in the other order
     ((((1, 0), (0, 2)), ((0, 0), (1, 2))), (((0, 1), (2, 0)), ((0, 0), (1, 2)))),
+    # and so do the middle contents the scan visits the left indices by
+    ((((1, 0), (0, 2)), ((0, 1), (1, 1))), (((0, 2), (0, 1)), ((1, 1), (1, 0)))),
 ])
-def test_mismatch_search_follows_key_order_not_basis_order(monkeypatch, key_first, basis_first):
-    # two faults where key order and basis order disagree: the pair whose
-    # key pair appears first is reported
+def test_mismatch_search_follows_basis_order(monkeypatch, key_first, basis_first):
+    # two faults where the order of the weight keys (row sums, column sums)
+    # and basis order disagree: the pair that comes first in basis order is
+    # reported
     B = enumerate_basis(2, 3)
     assert sorted((key_first, basis_first), key=lambda p: (B.index(p[0]), B.index(p[1])))[0] \
         == basis_first
@@ -329,7 +344,7 @@ def test_mismatch_search_follows_key_order_not_basis_order(monkeypatch, key_firs
         return product
 
     monkeypatch.setattr(oracle, "_uncached_product", patched)
-    assert find_product_mismatch(2, 3) == key_first
+    assert find_product_mismatch(2, 3) == basis_first
 
 
 def test_import_leaves_numpy_unloaded():

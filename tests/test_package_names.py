@@ -1,7 +1,7 @@
 """No dead names in the package: every import of a module is read there,
 and every module-level private name and UPPER_CASE constant is read
 somewhere in the package.  Names listed in ``__all__`` of ``__init__``
-count as read."""
+count as read.  Every ``random.Random`` is seeded by ``SAMPLE_SEED``."""
 
 import ast
 from pathlib import Path
@@ -85,3 +85,15 @@ def test_every_private_name_is_read():
 
 def test_every_constant_is_read():
     assert _unread(str.isupper) == []
+
+
+def test_every_rng_is_seeded_by_the_sample_seed():
+    # one seed for every draw the checks make
+    calls = [
+        f"{filename}: {ast.unparse(node)}"
+        for filename, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"
+    ]
+    assert calls and all(call.endswith("Random(SAMPLE_SEED)") for call in calls), calls

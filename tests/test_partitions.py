@@ -118,6 +118,13 @@ def test_partitions_of_zero():
     assert partitions_of(0) == ((),)
 
 
+@pytest.mark.parametrize("second", [True, -1])
+def test_partitions_of_takes_only_the_degree(second):
+    # a bound on the largest part is private to the recursion
+    with pytest.raises(TypeError):
+        partitions_of(3, second)
+
+
 def test_partition_counts_match_brute_force():
     for d in range(9):
         got = partitions_of(d)

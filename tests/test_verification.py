@@ -1,8 +1,8 @@
 """The checks of ``verify``: the once-per-pair product checks leave the
 product cache empty and expand each meeting pair once, the product checks
-hand only meeting pairs to the core and to ``multiply``, and every check
-fails, and names the input, when a fault is injected into the route it
-reads at one input."""
+hand only meeting pairs to the core and to ``multiply``, distinct and in
+basis order, and every check fails, and names the input, when a fault is
+injected into the route it reads at one input."""
 
 import itertools
 import random
@@ -22,6 +22,8 @@ from schuralg.multiplication import _basis_product
 from schuralg.verification import (
     FAIL,
     PASS,
+    SAMPLE_SEED,
+    SAMPLED_PAIRS,
     CheckResult,
     check_action_convention,
     check_associativity,
@@ -88,6 +90,30 @@ def test_product_checks_hand_only_meeting_pairs_to_the_core(monkeypatch, n, d):
     monkeypatch.setattr(verification, "multiply", recorded)
     assert all(check(n, d).status == PASS for check in PRODUCT_CHECKS)
     assert pairs and all(_meets(*pair) for pair in pairs)
+
+
+@pytest.mark.parametrize("check", PRODUCT_CHECKS)
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4)])
+def test_product_checks_scan_distinct_pairs_in_basis_order(monkeypatch, check, n, d):
+    # the pairs a check hands to the core, or the (x, y) of each chained
+    # triple, which associativity multiplies first of its four products
+    real_core, real_multiply = verification._uncached_product, verification.multiply
+    pairs, calls = [], []
+
+    def core(Dx, Dy):
+        pairs.append((Dx, Dy))
+        return real_core(Dx, Dy)
+
+    def recorded(x, y):
+        calls.append((*x.terms, *y.terms))
+        return real_multiply(x, y)
+
+    monkeypatch.setattr(verification, "_uncached_product", core)
+    monkeypatch.setattr(verification, "multiply", recorded)
+    assert check(n, d).status == PASS
+    position = {D: k for k, D in enumerate(enumerate_basis(n, d))}
+    keys = [(position[Dx], position[Dy]) for Dx, Dy in pairs or calls[::4]]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("n, d", [(3, 3), (2, 6), (3, 4)])
@@ -208,11 +234,10 @@ def test_associativity_check_names_the_triple_it_fails_at(monkeypatch):
     # x * y is off by the identity in the first chained triple, so
     # (x * y) * z gains z and x * (y * z) does not
     n, d = 2, 3
-    rng, B = random.Random(0), enumerate_basis(n, d)
-    chain = [rng.choice(B)]
-    for _ in range(2):
-        chain.append(rng.choice([D for D in B if _meets(chain[-1], D)]))
-    x, y, z = (SchurElement(n, d, {D: 1}) for D in chain)
+    pairs, _ = verification._scope(n, d, SAMPLED_PAIRS, SAMPLED_PAIRS)
+    Dx, Dy = pairs[0]
+    Dz = random.Random(SAMPLE_SEED).choice([D for D in enumerate_basis(n, d) if _meets(Dy, D)])
+    x, y, z = (SchurElement(n, d, {D: 1}) for D in (Dx, Dy, Dz))
     real = verification.multiply
 
     def patched(a, b):
