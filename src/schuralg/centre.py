@@ -26,9 +26,10 @@ of assuming it.
 
 Centrality has two routes.  ``commutes_with_generators`` commutes with the
 generators e_i, f_i and 1_lambda of S(n,d) over Q, one basis index per
-nonzero weight piece (``basis.generator_indices``); ``verify`` uses it and
-never enumerates the basis.  ``is_central`` commutes with every basis
-element and stays as the tests' independent route.
+nonzero weight piece (``basis.generator_indices``), all at once: two
+products with their Kronecker-substituted sum; ``verify`` uses it and never
+enumerates the basis.  ``is_central`` commutes with every basis element,
+one pair of products each, and stays as the tests' independent route.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .basis import (
     weight_block,
 )
 from .linalg import rational_rank
-from .multiplication import multiply
+from .multiplication import _numerators, multiply
 from .partitions import (
     Partition,
     character,
@@ -225,12 +226,32 @@ def commutes_with_generators(x: SchurElement) -> bool:
     """True iff x commutes with every index of ``generator_indices``, the
     Chevalley-type generators of S(n,d) over Q; that is, iff x is central.
     ``is_central``, which multiplies by the whole basis, stays the
-    independent route."""
-    for D in generator_indices(x.n, x.d):
-        g = SchurElement._trusted(x.n, x.d, {D: Fraction(1)})
-        if multiply(x, g) != multiply(g, x):
-            return False
-    return True
+    independent route.
+
+    The generators g_0..g_{m-1} are checked with two exact products by
+    Kronecker substitution.  With L the lcm of x's denominators, X = L x
+    has integer coefficients; let S be its l1 norm and B = 4 n^d S + 1.
+    Then with G = sum_k B^k g_k, by bilinearity
+
+        L (x G - G x) = X G - G X = sum_k B^k [X, g_k].
+
+    A structure constant counts middle words, so it is at most n^d, and a
+    coefficient of X g_k or of g_k X is at most n^d S in absolute value;
+    each coefficient of [X, g_k] is then at most 2 n^d S, below B/2.  The
+    generator indices are distinct, so each coefficient of X G - G X is a
+    base-B expansion whose digits, the coefficients of the [X, g_k], are
+    below B/2 in absolute value, and it is zero only if every digit is:
+    its top nonzero digit at B^k outweighs the rest, at most (B^k - 1)/2.
+    So x G == G x iff x commutes with every g_k; there is no probability
+    of a false pass.  Scaling by L only bounds the digits: the products
+    are taken with x itself.
+    """
+    _, numerators = _numerators(x)
+    base = 4 * x.n**x.d * sum(map(abs, numerators.values())) + 1
+    g = SchurElement._trusted(x.n, x.d, {
+        D: Fraction(base**k) for k, D in enumerate(generator_indices(x.n, x.d))
+    })
+    return multiply(x, g) == multiply(g, x)
 
 
 def primitive_idempotent(shape: Partition, n: int, d: int) -> SchurElement:

@@ -17,6 +17,7 @@ from schuralg.basis import (
     canonical_pair,
     col_sums,
     enumerate_basis,
+    generator_indices,
     identity_element,
     matrix_from_pair,
     row_sums,
@@ -345,6 +346,32 @@ def test_generator_route_agrees_with_full_basis(n, d):
     verdicts = [is_central(x) for x in elements]
     assert [commutes_with_generators(x) for x in elements] == verdicts
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 3)])
+def test_generator_route_refuses_the_sum_of_the_off_diagonal_pieces(n, d):
+    # x commutes with 1 + x, the plain sum of every generator index, but
+    # not with each of them
+    indices = generator_indices(n, d)
+    x = SchurElement(n, d, {D: 1 for D in indices if not is_diagonal(D)})
+    plain = SchurElement(n, d, dict.fromkeys(indices, 1))
+    assert multiply(x, plain) == multiply(plain, x)
+    assert not is_central(x)
+    assert not commutes_with_generators(x)
+
+
+def test_generator_route_takes_two_products(monkeypatch):
+    real, calls = schuralg.centre.multiply, []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(schuralg.centre, "multiply", counted)
+    central = centre_basis_element((2, 1), 3, 3)
+    off_diagonal = basis_element(((0, 1, 0), (0, 0, 0), (0, 0, 2)))
+    assert [commutes_with_generators(x) for x in (central, off_diagonal)] == [True, False]
+    assert len(calls) == 4
 
 
 def test_centrality_check_fails_on_a_non_central_class_sum(monkeypatch):

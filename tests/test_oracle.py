@@ -303,8 +303,8 @@ def test_every_ordered_pair_is_compared(monkeypatch, n, d):
         assert find_product_mismatch(n, d) == pair
 
 
-def test_mismatch_search_reports_the_first_pair_in_key_order(monkeypatch):
-    # two injected faults: the pair whose left key comes first is reported
+def test_mismatch_search_reports_the_earlier_left_index(monkeypatch):
+    # two injected faults: the pair whose left index comes first in basis order is reported
     n, d = 2, 3
     early = (((0, 0), (0, 3)), ((0, 0), (0, 3)))  # the first basis key
     late = (((3, 0), (0, 0)), ((3, 0), (0, 0)))

@@ -10,7 +10,7 @@ import random
 import pytest
 from test_multiplication import _unweighted_product
 
-from schuralg import verification
+from schuralg import multiplication, verification
 from schuralg.basis import (
     SchurElement,
     col_sums,
@@ -31,6 +31,7 @@ from schuralg.verification import (
     check_content_margins,
     check_identity_neutral,
     check_structure_constants,
+    run_suite,
 )
 
 PRODUCT_CHECKS = [check_structure_constants, check_content_margins, check_associativity]
@@ -219,15 +220,78 @@ def test_margin_check_names_the_pair_with_wrong_margins(monkeypatch, n, d, pair,
 
 
 def test_identity_check_names_the_index_it_fails_at(monkeypatch):
+    # the core loses the product of e's term with xi_D, first on the left
+    # side of xi_D, then on the right
     n, d = 2, 3
-    D = enumerate_basis(n, d)[5]
-    x, real = SchurElement(n, d, {D: 1}), verification.multiply
+    D, diagonal = enumerate_basis(n, d)[5], identity_element(n, d).terms
+    real = multiplication._basis_product
+    for lost in (
+        next((E, D) for E in diagonal if _meets(E, D)),
+        next((D, E) for E in diagonal if _meets(D, E)),
+    ):
+        monkeypatch.setattr(
+            multiplication, "_basis_product",
+            lambda Dx, Dy, lost=lost: () if (Dx, Dy) == lost else real(Dx, Dy),
+        )
+        assert check_identity_neutral(n, d) == CheckResult(
+            "identity-neutral", FAIL, f"failed at {D}"
+        )
 
-    def patched(a, b):
-        return SchurElement.zero(n, d) if b == x else real(a, b)
+
+def test_identity_check_sees_two_swapped_products(monkeypatch):
+    # the core swaps e xi_a and e xi_b for a, b of equal column sums: the
+    # plain sum of that column-sum group is unchanged by e, its weighted
+    # sum is not
+    n, d = 2, 3
+    e = identity_element(n, d)
+    group = [D for D in enumerate_basis(n, d) if col_sums(D) == (1, 2)]
+    a, b = group[0], group[-1]
+    (E,) = (E for E in e.terms if _meets(E, a))
+    swap = {(E, a): (E, b), (E, b): (E, a)}
+    real = multiplication._basis_product
+    monkeypatch.setattr(
+        multiplication, "_basis_product", lambda Dx, Dy: real(*swap.get((Dx, Dy), (Dx, Dy)))
+    )
+    plain = SchurElement(n, d, dict.fromkeys(group, 1))
+    assert multiplication.multiply(e, plain) == plain
+    assert check_identity_neutral(n, d) == CheckResult("identity-neutral", FAIL, f"failed at {a}")
+
+
+def test_identity_check_takes_one_product_per_side_and_weight(monkeypatch):
+    real, calls = verification.multiply, []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(verification, "multiply", counted)
+    for n, d in [(2, 3), (3, 3), (2, 6)]:
+        calls.clear()
+        assert check_identity_neutral(n, d).status == PASS
+        assert len(calls) == 2 * len(identity_element(n, d).terms)
+
+
+def test_identity_check_fails_when_only_a_weighted_sum_fails(monkeypatch):
+    # a product that is not bilinear: zero when a coefficient exceeds 1, as
+    # in the weighted sums, right on e and on every basis element
+    n, d = 2, 3
+    real = verification.multiply
+
+    def patched(x, y):
+        if any(c > 1 for z in (x, y) for c in z.terms.values()):
+            return SchurElement.zero(n, d)
+        return real(x, y)
 
     monkeypatch.setattr(verification, "multiply", patched)
-    assert check_identity_neutral(n, d) == CheckResult("identity-neutral", FAIL, f"failed at {D}")
+    assert check_identity_neutral(n, d) == CheckResult(
+        "identity-neutral", FAIL, "failed on a weighted sum of basis elements"
+    )
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (3, 0), (1, 1), (1, 4), (4, 1)])
+def test_suite_passes_at_the_edge_sizes(n, d):
+    results = run_suite(n, d)
+    assert all(r.status == PASS for r in results), results
 
 
 def test_associativity_check_names_the_triple_it_fails_at(monkeypatch):
