@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 MultiIndex = tuple[int, ...]
@@ -369,3 +369,24 @@ def identity_element(n: int, d: int) -> SchurElement:
     check_ambient(n, d)
     words = itertools.combinations_with_replacement(range(1, n + 1), d)
     return SchurElement(n, d, {matrix_from_pair(w, w, n): 1 for w in words})
+
+
+def kronecker_sum(parts: Iterable[dict[Matrix, int]], bound: int, n: int, d: int) -> SchurElement:
+    """The element sum_k B^k part_k of S(n,d), B = 2 bound + 1, zeros
+    dropped; the keys come from elements of S(n,d) and are not re-validated.
+
+    Kronecker substitution: if a linear law L gives values L(part_k) whose
+    integer coefficients are at most ``bound`` in absolute value, each
+    coefficient of L(sum) is the base-B expansion sum_k B^k L(part_k).  It
+    is zero only if every digit is: the top nonzero digit at B^k outweighs
+    the rest, at most (B^k - 1)/2.  So one exact product with the sum
+    checks L on every part.  A structure constant counts middle words, so
+    it is at most n^d.
+    """
+    base, power = 2 * bound + 1, 1
+    terms: dict[Matrix, int] = {}
+    for part in parts:
+        for D, c in part.items():
+            terms[D] = terms.get(D, 0) + power * c
+        power *= base
+    return SchurElement._trusted(n, d, {D: Fraction(c) for D, c in terms.items() if c})

@@ -192,7 +192,7 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     lefts: dict[tuple[int, ...], list[int]] = {}
     for k, D in enumerate(B):
         lefts.setdefault(row_sums(D), []).append(k)
-    bad = []
+    least = (size, size)  # the least failing (i, j), none while i = |B|
     for middle, xs in lefts.items():
         words = _letters(middle)
         pairs = (_pair_positions(words, bottoms[:, None], n) * size
@@ -213,5 +213,5 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
             if got != want:
                 sides = itertools.zip_longest(got, want, fillvalue=(size,))
                 g, w = next((g, w) for g, w in sides if g != w)
-                bad.append((i, min(g[0], w[0])))
-    return next(((B[i], B[j]) for i, j in sorted(bad)), None)
+                least = min(least, (i, min(g[0], w[0])))
+    return None if least[0] == size else (B[least[0]], B[least[1]])

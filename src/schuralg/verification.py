@@ -8,7 +8,6 @@ the same functions at pinned sizes.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .basis import (
     col_sums,
     enumerate_basis,
     identity_element,
+    kronecker_sum,
     matrix_from_pair,
     row_sums,
     weight_block,
@@ -90,28 +90,20 @@ def check_pair_roundtrip(n: int, d: int) -> CheckResult:
 
 
 def check_identity_neutral(n: int, d: int) -> CheckResult:
-    """e x = x = x e for the identity e and every basis element x, checked
-    by Kronecker substitution with one exact product per side for each
-    column sums lambda of the basis.
-
-    e has one term, of coefficient 1, per weight: |Lambda(n,d)| terms.  A
-    structure constant counts middle words, so it is at most n^d, and a
-    coefficient of e xi - xi or xi e - xi is at most |Lambda(n,d)| n^d + 1
-    in absolute value, below B/2 for B = 2 (|Lambda(n,d)| n^d + 1) + 1.
-    With X = sum_k B^k xi_k over the indices xi_0, xi_1, ... of column
-    sums lambda, e X - X = sum_k B^k (e xi_k - xi_k) is a base-B expansion
-    with those digits, zero only if every digit is (as in
-    ``idempotent_law_failures``), and so is X e - X.  One X over the whole
-    basis would also do, but its coefficients hold about |B|^2 log2(B) / 2
-    bits, which grows the process to 211 MB at (3,7); one X per lambda
-    holds the sum of the squared group sizes instead.  Only when a product
-    differs is the basis scanned one index at a time, so the detail names
-    the first failing index."""
+    """e x = x = x e for the identity e and every basis element x, by one
+    exact product per side for each column sums lambda: e X = X = X e for
+    X the ``kronecker_sum`` of the indices of column sums lambda.  e has
+    |Lambda(n,d)| terms of coefficient 1, so the bound is
+    |Lambda(n,d)| n^d + 1.  One X over the whole basis would also do, but
+    its coefficients hold about |B|^2 log2(B) / 2 bits, which grows the
+    process to 211 MB at (3,7); one X per lambda holds the sum of the
+    squared group sizes instead.  Only when a product differs is the basis
+    scanned one index at a time, so the detail names the first failing
+    index."""
     e = identity_element(n, d)
-    base = 2 * (len(e.terms) * n**d + 1) + 1
+    bound = len(e.terms) * n**d + 1
     for group in _by_col_sums(n, d).values():
-        powers = itertools.accumulate(itertools.repeat(base), operator.mul, initial=1)
-        x = _integral(dict(zip(group, powers)), n, d)
+        x = kronecker_sum([{D: 1} for D in group], bound, n, d)
         if multiply(e, x) != x or multiply(x, e) != x:
             break
     else:
@@ -142,26 +134,19 @@ def _by_col_sums(n: int, d: int) -> dict[tuple[int, ...], list[Matrix]]:
     return by_cols
 
 
-def _meeting(n: int, d: int) -> dict[Matrix, list[Matrix]]:
-    """Each basis index x, mapped to the indices y that meet it, with
-    col_sums(y) = row_sums(x), both in basis order; only these products are nonzero."""
-    by_cols = _by_col_sums(n, d)
-    return {Dx: by_cols[row_sums(Dx)] for Dx in enumerate_basis(n, d)}
-
-
 def _scope(n: int, d: int, limit: int, draws: int) -> tuple[list[tuple[Matrix, Matrix]], str]:
     """The meeting pairs a check visits, distinct and in basis order, and a
     detail naming them: all if at most ``limit``, else those at ``draws``
     positions of the basis-order scan, drawn by the seeded rng without
     replacement.  The scan is a generator, so the pairs are never listed."""
-    meeting = _meeting(n, d)
-    total = sum(map(len, meeting.values()))
+    B, by_cols = enumerate_basis(n, d), _by_col_sums(n, d)
+    total = sum(len(by_cols[row_sums(x)]) for x in B)
     if total <= limit:
         picks, scope = range(total), f"all {total} meeting pairs"
     else:
         picks = set(random.Random(SAMPLE_SEED).sample(range(total), draws))
         scope = f"{draws} of {total} meeting pairs"
-    scan = ((x, y) for x, ys in meeting.items() for y in ys)
+    scan = ((x, y) for x in B for y in by_cols[row_sums(x)])
     return [pair for k, pair in enumerate(scan) if k in picks], scope
 
 
@@ -376,10 +361,11 @@ def check_associativity(n: int, d: int, count: int = SAMPLED_PAIRS) -> CheckResu
     """(x y) z = x (y z) on chained triples: (x, y) are the meeting pairs
     ``_scope`` picks, at most ``count``, and z is a seeded draw from the
     indices meeting y, so neither side is zero."""
-    rng, meeting = random.Random(SAMPLE_SEED), _meeting(n, d)
+    rng, by_cols = random.Random(SAMPLE_SEED), _by_col_sums(n, d)
     pairs, _ = _scope(n, d, count, count)
     for Dx, Dy in pairs:
-        x, y, z = (_integral({D: 1}, n, d) for D in (Dx, Dy, rng.choice(meeting[Dy])))
+        Dz = rng.choice(by_cols[row_sums(Dy)])
+        x, y, z = (_integral({D: 1}, n, d) for D in (Dx, Dy, Dz))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             return _result("associativity", False, f"{x!r}, {y!r}, {z!r}")
     return _result("associativity", True, f"{len(pairs)} chained triples")

@@ -15,6 +15,7 @@ from schuralg.basis import (
     enumerate_basis,
     generator_indices,
     identity_element,
+    kronecker_sum,
     matrix_from_pair,
     row_sums,
     weight_block,
@@ -461,3 +462,25 @@ def test_identity_neutral_everywhere_small():
         x = basis_element(D)
         assert multiply(e, x) == x
         assert multiply(x, e) == x
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 7])
+def test_kronecker_sum_weights_part_k_by_the_base_to_the_k(bound):
+    # base B = 2 bound + 1; index q is in two parts and cancels to zero, so
+    # it is dropped, and the empty part still takes its power
+    n, d = 2, 2
+    p, q, r = enumerate_basis(n, d)[:3]
+    B = 2 * bound + 1
+    x = kronecker_sum([{p: 3, q: B}, {q: -1, r: 2}, {}, {p: 1}], bound, n, d)
+    assert x == SchurElement(n, d, {p: 3 + B**3, r: 2 * B})
+    assert q not in x.terms
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 40])
+def test_kronecker_sum_refuses_digits_that_cancel_in_base_bound(bound):
+    # the law e x = 0 takes the parts to digits +bound at B^0 and -1 at B^1,
+    # within the bound; in base ``bound`` they would cancel and pass it
+    n, d = 2, 2
+    D = enumerate_basis(n, d)[0]
+    x = kronecker_sum([{D: bound}, {D: -1}], bound, n, d)
+    assert not multiply(identity_element(n, d), x).is_zero()

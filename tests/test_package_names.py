@@ -1,6 +1,6 @@
 """No dead names in the package: every import of a module is read there,
-and every module-level private name and UPPER_CASE constant is read
-somewhere in the package.  Names listed in ``__all__`` of ``__init__``
+and every module-level name, public, private or UPPER_CASE constant, is
+read somewhere in the package.  Names listed in ``__all__`` of ``__init__``
 count as read.  Every ``random.Random`` is seeded by ``SAMPLE_SEED``."""
 
 import ast
@@ -77,6 +77,10 @@ def test_every_import_is_read():
         loaded = _loaded(tree) | (exported if filename == "__init__.py" else set())
         unread += [f"{filename}: {name}" for name in _imports(tree) if name not in loaded]
     assert unread == []
+
+
+def test_every_public_name_is_read():
+    assert _unread(lambda name: not name.startswith("_")) == []
 
 
 def test_every_private_name_is_read():

@@ -30,6 +30,7 @@ from schuralg.verification import (
     check_characters,
     check_content_margins,
     check_identity_neutral,
+    check_idempotents,
     check_structure_constants,
     run_suite,
 )
@@ -286,6 +287,25 @@ def test_identity_check_fails_when_only_a_weighted_sum_fails(monkeypatch):
     assert check_identity_neutral(n, d) == CheckResult(
         "identity-neutral", FAIL, "failed on a weighted sum of basis elements"
     )
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "idempotent_law_failures returns (None, None) when only its law product fails; "
+    "it is on the centre job's path, so its fix waits for ROADMAP item 1"
+))
+def test_idempotent_check_fails_when_only_the_law_product_fails(monkeypatch):
+    # a product that is not bilinear: zero when a coefficient exceeds 10^6,
+    # as in the law product's weighted sums, right on every idempotent
+    n, d = 2, 3
+    real = verification.multiply
+
+    def patched(x, y):
+        if any(abs(c) > 10**6 for z in (x, y) for c in z.terms.values()):
+            return SchurElement.zero(n, d)
+        return real(x, y)
+
+    monkeypatch.setattr(verification, "multiply", patched)
+    assert check_idempotents(n, d).status == FAIL
 
 
 @pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (3, 0), (1, 1), (1, 4), (4, 1)])
