@@ -10,13 +10,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .basis import (
     Matrix,
     SchurElement,
     basis_count,
+    basis_element,
     canonical_pair,
     col_sums,
     enumerate_basis,
@@ -109,7 +109,7 @@ def check_identity_neutral(n: int, d: int) -> CheckResult:
     else:
         return _result("identity-neutral", True)
     for D in enumerate_basis(n, d):
-        x = _integral({D: 1}, n, d)
+        x = basis_element(D)
         if multiply(e, x) != x or multiply(x, e) != x:
             return _result("identity-neutral", False, f"failed at {D}")
     return _result("identity-neutral", False, "failed on a weighted sum of basis elements")
@@ -266,30 +266,27 @@ def idempotent_law_failures(
     """The first non-idempotent shape and the first non-orthogonal ordered
     pair, as ``first_non_idempotent`` and ``first_non_orthogonal_pair`` name
     them, or None for each law that holds; the laws are checked with one
-    exact product by Kronecker substitution.
+    exact product of sums built by ``kronecker_sum``, which proves the lemma.
 
     A zero element obeys every law, so only the p nonzero elements
     e_0..e_{p-1} enter.  With L the lcm of all their coefficients'
     denominators, E_i = L e_i has integer coefficients, and the laws
-    e_i e_j = delta_ij e_i read E_i E_j = delta_ij L E_i.  Let S be the
-    largest l1 norm of an E_i and B = 2 (n^d S^2 + L S) + 1.  Then
+    e_i e_j = delta_ij e_i read E_i E_j = delta_ij L E_i.  With S the
+    largest l1 norm of an E_i, each coefficient of E_i E_j - delta_ij L E_i
+    is at most n^d S^2 + L S, the bound.  Over B = 2 bound + 1, put
 
         X = sum_i B^i E_i,   Y = sum_j B^(p j) E_j,
-        Z = sum_i L B^(i + p i) E_i,
+        Z = sum_i L B^(i + p i) E_i:
 
-    and by bilinearity X Y - Z = sum_(i,j) B^(i + p j) F_ij with
-    F_ij = E_i E_j - delta_ij L E_i.  A structure constant counts middle
-    words, so it is at most n^d; a coefficient of E_i E_j is then at most
-    n^d S^2 and one of L E_i at most L S in absolute value, so each
-    coefficient of F_ij is below B/2.  The exponents i + p j are
-    distinct, so each coefficient of X Y - Z is a base-B expansion whose
-    digits, the coefficients of the F_ij, are below B/2 in absolute value.
-    Such an expansion is zero only if every digit is: its top nonzero digit
-    at B^k outweighs the rest, which is at most (B^k - 1)/2.  So X Y == Z
-    iff every law holds; there is no probability of a false pass.
+    in Y each E_j is followed by p - 1 empty parts, in Z each L E_i by p.
+    Then X Y - Z = sum_(i,j) B^(i + p j) (E_i E_j - delta_ij L E_i), whose
+    exponents i + p j are distinct, so X Y == Z iff every law holds.
 
-    Only when the identity fails are the laws scanned pair by pair, so the
-    names are the ones the exhaustive functions give.
+    Only when the product differs are the laws scanned pair by pair, so the
+    names are the ones the exhaustive functions give.  If the scans name
+    nothing, the product itself is wrong, and both laws fail as
+    ((), ((), ())): a named pair has two distinct shapes, so this one
+    names no law.
     """
     nonzero = [e for e in eps.values() if not e.is_zero()]
     p = len(nonzero)
@@ -299,26 +296,19 @@ def idempotent_law_failures(
         for e in nonzero
     ]
     norm = max((sum(map(abs, E.values())) for E in scaled), default=0)
-    base = 2 * (n**d * norm * norm + scale * norm) + 1
-    x: dict[Matrix, int] = {}
-    y: dict[Matrix, int] = {}
-    z: dict[Matrix, int] = {}
-    for i, E in enumerate(scaled):
-        bx, by = base**i, base ** (p * i)
-        bz = scale * bx * by
-        for D, c in E.items():
-            x[D] = x.get(D, 0) + bx * c
-            y[D] = y.get(D, 0) + by * c
-            z[D] = z.get(D, 0) + bz * c
-    if multiply(_integral(x, n, d), _integral(y, n, d)) == _integral(z, n, d):
+    bound = n**d * norm * norm + scale * norm
+    x = kronecker_sum(scaled, bound, n, d)
+    y = kronecker_sum((F for E in scaled for F in [E] + [{}] * (p - 1)), bound, n, d)
+    z = kronecker_sum(
+        (F for E in scaled for F in [{D: scale * c for D, c in E.items()}] + [{}] * p),
+        bound, n, d,
+    )
+    if multiply(x, y) == z:
         return None, None
-    return first_non_idempotent(eps), first_non_orthogonal_pair(eps)
-
-
-def _integral(terms: dict[Matrix, int], n: int, d: int) -> SchurElement:
-    """The element with the given integer coefficients, zeros dropped; the
-    keys come from elements of S(n,d), so they are not re-validated."""
-    return SchurElement._trusted(n, d, {D: Fraction(c) for D, c in terms.items() if c})
+    shape, pair = first_non_idempotent(eps), first_non_orthogonal_pair(eps)
+    if shape is None and pair is None:
+        return (), ((), ())
+    return shape, pair
 
 
 def sums_to_identity(eps: dict[Partition, SchurElement], n: int, d: int) -> bool:
@@ -333,6 +323,8 @@ def check_idempotents(n: int, d: int) -> CheckResult:
         if len(s) > n and not eps[s].is_zero():
             return _result("idempotents", False, f"{s} has >{n} parts but is nonzero")
     s, pair = idempotent_law_failures(eps, n, d)
+    if pair == ((), ()):
+        return _result("idempotents", False, "failed on a weighted sum of idempotents")
     if s is not None:
         return _result("idempotents", False, f"{s} not idempotent")
     if pair is not None:
@@ -365,7 +357,7 @@ def check_associativity(n: int, d: int, count: int = SAMPLED_PAIRS) -> CheckResu
     pairs, _ = _scope(n, d, count, count)
     for Dx, Dy in pairs:
         Dz = rng.choice(by_cols[row_sums(Dy)])
-        x, y, z = (_integral({D: 1}, n, d) for D in (Dx, Dy, Dz))
+        x, y, z = map(basis_element, (Dx, Dy, Dz))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             return _result("associativity", False, f"{x!r}, {y!r}, {z!r}")
     return _result("associativity", True, f"{len(pairs)} chained triples")

@@ -10,6 +10,7 @@ import pytest
 
 import schuralg
 from schuralg import verification
+from schuralg.basis import SchurElement
 from schuralg.cli import build_parser, main
 from schuralg.formats import canonical_json
 
@@ -318,6 +319,30 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch, output):
     else:
         results = json.loads(out)["results"]
         assert [r["name"] for r in results if r["status"] == "fail"] == ["structure-constants"]
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_idempotents_exits_1_when_only_the_law_product_fails(capsys, monkeypatch, output):
+    # a product that is not bilinear: zero when a coefficient exceeds 10^6,
+    # as in the law product's weighted sums, right on every idempotent
+    real = verification.multiply
+
+    def patched(x, y):
+        if any(abs(c) > 10**6 for z in (x, y) for c in z.terms.values()):
+            return SchurElement.zero(2, 3)
+        return real(x, y)
+
+    monkeypatch.setattr(verification, "multiply", patched)
+    code, out, _ = run_cli(capsys, "idempotents", "--n", "2", "--d", "3", "--output", output)
+    assert code == 1
+    if output == "text":
+        assert out.splitlines()[-3:] == [
+            "idempotent: False", "orthogonal: False", "sums to identity: True"
+        ]
+    else:
+        assert json.loads(out)["checks"] == {
+            "idempotent": False, "orthogonal": False, "resolution_of_identity": True
+        }
 
 
 def test_centre_workload_in_one_process():

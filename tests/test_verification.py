@@ -289,10 +289,6 @@ def test_identity_check_fails_when_only_a_weighted_sum_fails(monkeypatch):
     )
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "idempotent_law_failures returns (None, None) when only its law product fails; "
-    "it is on the centre job's path, so its fix waits for ROADMAP item 1"
-))
 def test_idempotent_check_fails_when_only_the_law_product_fails(monkeypatch):
     # a product that is not bilinear: zero when a coefficient exceeds 10^6,
     # as in the law product's weighted sums, right on every idempotent
@@ -305,7 +301,9 @@ def test_idempotent_check_fails_when_only_the_law_product_fails(monkeypatch):
         return real(x, y)
 
     monkeypatch.setattr(verification, "multiply", patched)
-    assert check_idempotents(n, d).status == FAIL
+    assert check_idempotents(n, d) == CheckResult(
+        "idempotents", FAIL, "failed on a weighted sum of idempotents"
+    )
 
 
 @pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (3, 0), (1, 1), (1, 4), (4, 1)])
