@@ -167,24 +167,41 @@ def weight_block(
     )
 
 
+@lru_cache(maxsize=16, typed=True)
+def meeting_index(
+    n: int, d: int
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each weight mu of Lambda(n,d), in the order of ``compositions``,
+    the increasing positions in ``enumerate_basis(n, d)`` of the indices
+    with row sums mu (xs) and of those with column sums mu (ys).
+
+    The meeting rule: the product of basis indices x and y is zero unless
+    row_sums(x) = col_sums(y), since its middle words have content both.
+    So the meeting pairs, those whose product can be nonzero, are xs x ys
+    over the weights, sum |xs| |ys| in all.
+    """
+    B = enumerate_basis(n, d)
+    index = {mu: ([], []) for mu in compositions(d, (d,) * n)}
+    for k, D in enumerate(B):
+        index[row_sums(D)][0].append(k)
+        index[col_sums(D)][1].append(k)
+    return {mu: (tuple(xs), tuple(ys)) for mu, (xs, ys) in index.items()}
+
+
 def generator_indices(n: int, d: int) -> tuple[Matrix, ...]:
     """The basis indices of the Chevalley-type generators of S(n,d) over Q
     (Doty and Giaquinto, "Presenting Schur algebras", IMRN 2002).
 
-    The weight idempotents 1_lambda are the |Lambda(n,d)| diagonal indices.
+    The weight idempotents 1_lambda are the |Lambda(n,d)| diagonal indices,
+    the terms of ``identity_element``.
     Each nonzero piece 1_mu e_i 1_lambda or 1_mu f_i 1_lambda is one basis
     element: a diagonal index of entry sum d - 1 plus one unit at (i, i+1)
     or at (i+1, i), 2(n-1)|Lambda(n,d-1)| indices in all.  Sums of these
     pieces give e_i and f_i, so an element is central iff it commutes with
     every index listed here.
     """
-    check_ambient(n, d)
-    letters = range(1, n + 1)
-    diagonal = [
-        matrix_from_pair(word, word, n)
-        for word in itertools.combinations_with_replacement(letters, d)
-    ]
-    shorter = itertools.combinations_with_replacement(letters, d - 1) if d else ()
+    diagonal = identity_element(n, d).terms
+    shorter = itertools.combinations_with_replacement(range(1, n + 1), d - 1) if d else ()
     pieces = [
         matrix_from_pair((*word, a), (*word, b), n)
         for word in shorter

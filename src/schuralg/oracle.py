@@ -38,6 +38,7 @@ from .basis import (
     basis_count,
     col_sums,
     enumerate_basis,
+    meeting_index,
     row_sums,
     weight_block,
     words_of_content,
@@ -175,13 +176,14 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     order, or None.
 
     Each middle content's pass yields the triples (x, y, P) with their
-    counts, sorted; each left index x whose row sums are that content is
-    then compared with the core's expansions of x with every basis index,
-    in basis order.  A pair that meets no middle word must have an empty
-    product; an index outside M(n,d), a zero coefficient, a repeated index
-    or an unsorted expansion is a mismatch.  Both sides list their terms by
-    right index y, so the first y of a failing x is the smaller y of the
-    first two terms that differ, a side that runs out reading as y = |B|.
+    counts, sorted; each left index x whose row sums are that content (the
+    xs of ``meeting_index``) is then compared with the core's expansions
+    of x with every basis index, in basis order.  A pair that meets no
+    middle word must have an empty product; an index outside M(n,d), a
+    zero coefficient, a repeated index or an unsorted expansion is a
+    mismatch.  Both sides list their terms by right index y, so the first
+    y of a failing x is the smaller y of the first two terms that differ,
+    a side that runs out reading as y = |B|.
     """
     import numpy as np
 
@@ -189,11 +191,8 @@ def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:
     B = enumerate_basis(n, d)
     size = len(B)
     tops, bottoms = _canonical_words(B, n, d)
-    lefts: dict[tuple[int, ...], list[int]] = {}
-    for k, D in enumerate(B):
-        lefts.setdefault(row_sums(D), []).append(k)
     least = (size, size)  # the least failing (i, j), none while i = |B|
-    for middle, xs in lefts.items():
+    for middle, (xs, _) in meeting_index(n, d).items():
         words = _letters(middle)
         pairs = (_pair_positions(words, bottoms[:, None], n) * size
                  + _pair_positions(tops[:, None], words, n)).ravel()

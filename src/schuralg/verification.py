@@ -23,6 +23,7 @@ from .basis import (
     identity_element,
     kronecker_sum,
     matrix_from_pair,
+    meeting_index,
     row_sums,
     weight_block,
 )
@@ -91,24 +92,24 @@ def check_pair_roundtrip(n: int, d: int) -> CheckResult:
 
 def check_identity_neutral(n: int, d: int) -> CheckResult:
     """e x = x = x e for the identity e and every basis element x, by one
-    exact product per side for each column sums lambda: e X = X = X e for
-    X the ``kronecker_sum`` of the indices of column sums lambda.  e has
-    |Lambda(n,d)| terms of coefficient 1, so the bound is
-    |Lambda(n,d)| n^d + 1.  One X over the whole basis would also do, but
-    its coefficients hold about |B|^2 log2(B) / 2 bits, which grows the
-    process to 211 MB at (3,7); one X per lambda holds the sum of the
+    exact product per side for each weight lambda: e X = X = X e for X the
+    ``kronecker_sum`` of the indices of column sums lambda, the ys of
+    ``meeting_index``.  e has |Lambda(n,d)| terms of coefficient 1, so the
+    bound is |Lambda(n,d)| n^d + 1.  One X over the whole basis would also
+    do, but its coefficients hold about |B|^2 log2(B) / 2 bits, which grows
+    the process to 211 MB at (3,7); one X per lambda holds the sum of the
     squared group sizes instead.  Only when a product differs is the basis
     scanned one index at a time, so the detail names the first failing
     index."""
-    e = identity_element(n, d)
+    e, B = identity_element(n, d), enumerate_basis(n, d)
     bound = len(e.terms) * n**d + 1
-    for group in _by_col_sums(n, d).values():
-        x = kronecker_sum([{D: 1} for D in group], bound, n, d)
+    for _, ys in meeting_index(n, d).values():
+        x = kronecker_sum([{B[k]: 1} for k in ys], bound, n, d)
         if multiply(e, x) != x or multiply(x, e) != x:
             break
     else:
         return _result("identity-neutral", True)
-    for D in enumerate_basis(n, d):
+    for D in B:
         x = basis_element(D)
         if multiply(e, x) != x or multiply(x, e) != x:
             return _result("identity-neutral", False, f"failed at {D}")
@@ -126,27 +127,20 @@ def check_oracle_equivalence(n: int, d: int) -> CheckResult:
     return _result("oracle-equivalence", True, f"{pairs} ordered pairs")
 
 
-def _by_col_sums(n: int, d: int) -> dict[tuple[int, ...], list[Matrix]]:
-    """The basis indices grouped by column sums, groups and members in basis order."""
-    by_cols: dict[tuple[int, ...], list[Matrix]] = {}
-    for D in enumerate_basis(n, d):
-        by_cols.setdefault(col_sums(D), []).append(D)
-    return by_cols
-
-
 def _scope(n: int, d: int, limit: int, draws: int) -> tuple[list[tuple[Matrix, Matrix]], str]:
     """The meeting pairs a check visits, distinct and in basis order, and a
     detail naming them: all if at most ``limit``, else those at ``draws``
     positions of the basis-order scan, drawn by the seeded rng without
-    replacement.  The scan is a generator, so the pairs are never listed."""
-    B, by_cols = enumerate_basis(n, d), _by_col_sums(n, d)
-    total = sum(len(by_cols[row_sums(x)]) for x in B)
+    replacement.  The pairs and their count come from ``meeting_index``;
+    the scan is a generator, so the pairs are never listed."""
+    B, index = enumerate_basis(n, d), meeting_index(n, d)
+    total = sum(len(xs) * len(ys) for xs, ys in index.values())
     if total <= limit:
         picks, scope = range(total), f"all {total} meeting pairs"
     else:
         picks = set(random.Random(SAMPLE_SEED).sample(range(total), draws))
         scope = f"{draws} of {total} meeting pairs"
-    scan = ((x, y) for x in B for y in by_cols[row_sums(x)])
+    scan = ((x, B[k]) for x in B for k in index[row_sums(x)][1])
     return [pair for k, pair in enumerate(scan) if k in picks], scope
 
 
@@ -352,11 +346,12 @@ def check_characters(d: int) -> CheckResult:
 def check_associativity(n: int, d: int, count: int = SAMPLED_PAIRS) -> CheckResult:
     """(x y) z = x (y z) on chained triples: (x, y) are the meeting pairs
     ``_scope`` picks, at most ``count``, and z is a seeded draw from the
-    indices meeting y, so neither side is zero."""
-    rng, by_cols = random.Random(SAMPLE_SEED), _by_col_sums(n, d)
+    indices meeting y, the ys of ``meeting_index`` at row_sums(y), so
+    neither side is zero."""
+    rng, B, index = random.Random(SAMPLE_SEED), enumerate_basis(n, d), meeting_index(n, d)
     pairs, _ = _scope(n, d, count, count)
     for Dx, Dy in pairs:
-        Dz = rng.choice(by_cols[row_sums(Dy)])
+        Dz = B[rng.choice(index[row_sums(Dy)][1])]
         x, y, z = map(basis_element, (Dx, Dy, Dz))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             return _result("associativity", False, f"{x!r}, {y!r}, {z!r}")

@@ -17,6 +17,7 @@ from schuralg.basis import (
     identity_element,
     kronecker_sum,
     matrix_from_pair,
+    meeting_index,
     row_sums,
     weight_block,
     words_of_content,
@@ -156,6 +157,24 @@ def test_weight_block_matches_filter_on_square_blocks():
 def test_weight_block_refuses_sums_that_differ(rows, cols):
     with pytest.raises(ValueError):
         weight_block(rows, cols)
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (1, 3), (2, 3), (3, 3), (2, 6)])
+def test_meeting_index_groups_the_basis_by_each_margin(n, d):
+    B, index = enumerate_basis(n, d), meeting_index(n, d)
+    assert set(index) == set(compositions(d, (d,) * n))
+    for side, margin in enumerate((row_sums, col_sums)):
+        groups = [group[side] for group in index.values()]
+        assert sorted(k for group in groups for k in group) == list(range(len(B)))
+        assert all(list(group) == sorted(group) for group in groups)
+        assert all(margin(B[k]) == mu for mu, group in index.items() for k in group[side])
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 0), (1, 3), (2, 3), (3, 3), (2, 6)])
+def test_meeting_index_counts_the_meeting_pairs(n, d):
+    B = enumerate_basis(n, d)
+    brute = sum(row_sums(x) == col_sums(y) for x in B for y in B)
+    assert sum(len(xs) * len(ys) for xs, ys in meeting_index(n, d).values()) == brute
 
 
 # ------------------------------------------------------------- generators
@@ -422,11 +441,12 @@ def test_basis_element_rejects_non_int_entries(entries):
         lambda: identity_element(2, 2.0),
         lambda: permutations_by_type(-1),
         lambda: partitions_of(True),
+        lambda: (meeting_index(1, 1), meeting_index(True, 1)),
     ],
     ids=["element-float-n", "element-bool-n", "zero-float-d", "basis-count-n0",
          "centre-dimension-n0", "centre-basis-element-n0", "primitive-idempotent-n0",
          "centre-dimension-bool-n", "identity-float-d", "permutations-by-type-d-1",
-         "partitions-of-bool"],
+         "partitions-of-bool", "meeting-index-bool-n-after-a-warm-call"],
 )
 def test_size_rule_refuses_bad_sizes(call):
     """Every public (n, d) entry point applies the one size rule: n and d are

@@ -1,7 +1,8 @@
 """No dead names in the package: every import of a module is read there,
 and every module-level name, public, private or UPPER_CASE constant, is
 read somewhere in the package.  Names listed in ``__all__`` of ``__init__``
-count as read.  Every ``random.Random`` is seeded by ``SAMPLE_SEED``."""
+count as read.  Every ``random.Random`` is seeded by ``SAMPLE_SEED``, and
+only ``basis.py`` groups indices by their margins."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,16 @@ def test_every_rng_is_seeded_by_the_sample_seed():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"
     ]
     assert calls and all(call.endswith("Random(SAMPLE_SEED)") for call in calls), calls
+
+
+def test_only_basis_groups_indices_by_margins():
+    # the meeting pairs come from basis.meeting_index, not a grouping of one's own
+    calls = [
+        f"{filename}:{node.lineno}"
+        for filename, tree in MODULES.items() if filename != "basis.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+        and node.args and isinstance(node.args[0], ast.Call)
+        and getattr(node.args[0].func, "id", None) in ("row_sums", "col_sums")
+    ]
+    assert calls == []
