@@ -385,7 +385,7 @@ def identity_element(n: int, d: int) -> SchurElement:
     identity."""
     check_ambient(n, d)
     words = itertools.combinations_with_replacement(range(1, n + 1), d)
-    return SchurElement(n, d, {matrix_from_pair(w, w, n): 1 for w in words})
+    return SchurElement._trusted(n, d, {matrix_from_pair(w, w, n): Fraction(1) for w in words})
 
 
 def kronecker_sum(parts: Iterable[dict[Matrix, int]], bound: int, n: int, d: int) -> SchurElement:

@@ -6,19 +6,21 @@ the pair matrix of (u, v) is D (Green, Polynomial Representations of GL_n,
 LNM 830, sections 2-3).  In x * y the left factor acts first, so the
 coefficient of P in the product of two basis elements is the composite's
 entry at P's canonical pair (t, b): the number of middle words m with
-pair(m, b) = x and pair(t, m) = y.  Every route reads entries through one
-unvalidated primitive, ``_pair_positions``, from word pairs to basis
-positions.  ``dense_operator`` fills its matrix one output word at a time.
-The two product routes make one numpy pass per middle content over the
-grid of target pairs and middle words: ``multiply_via_oracle`` weights it
-by the factors' Fraction coefficients, and ``find_product_mismatch``
-counts it and compares the counts with ``_uncached_product``, the product
-core without its cache, so it leaves nothing in the product cache.  No
-route lists a word's images or forms the core's packed codes, so this
-cross-checks the combinatorial product by a completely different route.
+pair(m, b) = x and pair(t, m) = y.  ``dense_operator`` and
+``multiply_via_oracle`` read that definition directly, one word pair at a
+time through ``matrix_from_pair``.  ``find_product_mismatch``, the check
+over every ordered basis pair, reads entries through one unvalidated
+primitive, ``_pair_positions``, from word pairs to basis positions: it
+makes one numpy pass per middle content over the grid of target pairs and
+middle words, counts it and compares the counts with ``_uncached_product``,
+the product core without its cache, so it leaves nothing in the product
+cache.  No route lists a word's images or forms the core's packed codes, so
+this cross-checks the combinatorial product by a completely different route.
 
-numpy is imported inside the functions that use it, so importing the
-package, and every command that never reaches the oracle, goes without it.
+Only ``find_product_mismatch`` imports numpy, and ``dense_operator`` for
+its return array, each inside the function, so importing the package, a
+single oracle product and every command that never reaches those two go
+without it.
 
 One size guard, n^d <= DEFAULT_MAX_TENSOR_DIM (10_000), read at call
 time, protects against accidental exponential blowups; exceeding it raises
@@ -33,11 +35,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from .basis import (
     Matrix,
-    Scalar,
     SchurElement,
-    basis_count,
     col_sums,
     enumerate_basis,
+    matrix_from_pair,
     meeting_index,
     row_sums,
     weight_block,
@@ -110,40 +111,25 @@ def _canonical_words(indices: Sequence[Matrix], n: int, d: int) -> tuple[np.ndar
     return tops + 1, bottoms + 1
 
 
-def _coefficients(terms: dict[Matrix, Scalar], n: int, d: int) -> np.ndarray:
-    """The coefficients of ``terms`` at every position of
-    ``enumerate_basis(n, d)``, 0 off their support, as an object array.  It
-    holds 8 |B| bytes of pointers, at most 1.6 MB at every size the CLI
-    admits (|B| <= 200000)."""
-    import numpy as np
-
-    vector = np.zeros(basis_count(n, d), object)
-    vector[_pair_positions(*_canonical_words(list(terms), n, d), n)] = list(terms.values())
-    return vector
-
-
 def dense_operator(x: SchurElement) -> np.ndarray:
     """The n^d x n^d matrix of the element, exact rationals, dtype=object.
 
     Rows are output words u, columns input words v, both in lexicographic
     order; entry (u, v) is the element's coefficient at the pair matrix of
-    (u, v), filled one row at a time.
+    (u, v).
     """
     import numpy as np
 
     n, d = x.n, x.d
-    dim = check_tensor_dimension(n, d)
-    words = np.indices((n,) * d, np.min_scalar_type(n * n)).reshape(d, dim).T + 1
-    M = np.zeros((dim, dim), dtype=object)
-    coefficients = _coefficients(x.terms, n, d)
-    for u, word in enumerate(words):
-        M[u] = coefficients[_pair_positions(word, words, n)]
-    return M
+    check_tensor_dimension(n, d)
+    words = list(itertools.product(range(1, n + 1), repeat=d))
+    return np.array(
+        [[x.coefficient(matrix_from_pair(u, v, n)) for v in words] for u in words], object
+    )
 
 
 def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Product computed as operator composition, one middle content at a
-    time.
+    """Product computed as operator composition.
 
     In x * y the left factor acts first on words, so the coefficient of P
     sums, over the middle words m of every content the factors share, x's
@@ -152,22 +138,20 @@ def multiply_via_oracle(x: SchurElement, y: SchurElement) -> SchurElement:
     targets are the members of the weight blocks of y's row sums and x's
     column sums, so the result is not re-validated.
     """
-    import numpy as np
-
     x._check_ambient(y)
     n, d = x.n, x.d
     check_tensor_dimension(n, d)
-    cx, cy = _coefficients(x.terms, n, d), _coefficients(y.terms, n, d)
-    targets = [P for rows in dict.fromkeys(map(row_sums, y.terms))
-               for cols in dict.fromkeys(map(col_sums, x.terms))
-               for P, _, _ in weight_block(rows, cols)]
-    tops, bottoms = _canonical_words(targets, n, d)
-    totals = np.zeros(len(targets), object)
-    for middle in set(map(row_sums, x.terms)) & set(map(col_sums, y.terms)):
-        words = _letters(middle)
-        weights = cx[_pair_positions(words, bottoms[:, None], n)]
-        totals += (weights * cy[_pair_positions(tops[:, None], words, n)]).sum(axis=1)
-    return SchurElement._trusted(n, d, {P: c for P, c in zip(targets, totals) if c})
+    middles = set(map(row_sums, x.terms)) & set(map(col_sums, y.terms))
+    words = [m for middle in middles for m in words_of_content(middle)]
+    terms = {}
+    for rows in dict.fromkeys(map(row_sums, y.terms)):
+        for cols in dict.fromkeys(map(col_sums, x.terms)):
+            for P, t, b in weight_block(rows, cols):
+                total = sum(x.coefficient(matrix_from_pair(m, b, n))
+                            * y.coefficient(matrix_from_pair(t, m, n)) for m in words)
+                if total:
+                    terms[P] = total
+    return SchurElement._trusted(n, d, terms)
 
 
 def find_product_mismatch(n: int, d: int) -> tuple[Matrix, Matrix] | None:

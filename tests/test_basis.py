@@ -476,6 +476,25 @@ def test_identity_is_diagonal_sum():
     assert all(is_diagonal(D) for D in e.support())
 
 
+def test_identity_and_generators_build_without_revalidation(monkeypatch):
+    # the diagonal keys come from matrix_from_pair, so no key is checked
+    # again, neither for the identity nor for the generators that read it
+    def refuse(entries):
+        raise RuntimeError("key re-validated")
+
+    monkeypatch.setattr("schuralg.basis.check_matrix", refuse)
+    diagonal = (((3, 0), (0, 0)), ((2, 0), (0, 1)), ((1, 0), (0, 2)), ((0, 0), (0, 3)))
+    e = identity_element(2, 3)
+    assert tuple(e.terms) == diagonal
+    assert all(type(c) is Fraction and c == 1 for c in e.terms.values())
+    assert generator_indices(2, 3) == (
+        *diagonal,
+        ((2, 1), (0, 0)), ((2, 0), (1, 0)),
+        ((1, 1), (0, 1)), ((1, 0), (1, 1)),
+        ((0, 1), (0, 2)), ((0, 0), (1, 2)),
+    )
+
+
 def test_identity_neutral_everywhere_small():
     e = identity_element(2, 3)
     for D in enumerate_basis(2, 3):

@@ -170,8 +170,8 @@ def test_mismatch_search_leaves_the_product_cache_empty(n, d):
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (1, 4), (8, 1)])
 def test_pair_positions_are_basis_positions(n, d):
-    # the oracle's one entry primitive agrees with the basis order on every
-    # word pair, in the letter dtype the oracle builds and in int64
+    # the all-pairs check's entry primitive agrees with the basis order on
+    # every word pair, in the letter dtype the oracle builds and in int64
     B = enumerate_basis(n, d)
     words = list(itertools.product(range(1, n + 1), repeat=d))
     expected = [[B.index(matrix_from_pair(t, b, n)) for b in words] for t in words]
@@ -179,6 +179,27 @@ def test_pair_positions_are_basis_positions(n, d):
         letters = np.array(words, dtype).reshape(len(words), d)
         got = oracle._pair_positions(letters[:, None], letters, n)
         assert got.tolist() == expected
+
+
+def test_one_product_routes_read_the_definition(monkeypatch):
+    # only the all-pairs check uses the rank kernel; one product and one
+    # operator read coefficients at pair matrices of words
+    def refuse(*args):
+        raise RuntimeError("rank kernel outside the all-pairs check")
+
+    for name in ("_pair_positions", "_canonical_words", "_letters"):
+        monkeypatch.setattr(oracle, name, refuse)
+    left = basis_element(((2, 0, 0), (1, 0, 2), (0, 0, 0)))
+    right = basis_element(((1, 0, 0), (1, 1, 0), (0, 2, 0)))
+    assert multiply_via_oracle(left, right) == multiply(left, right)
+    x = SchurElement(2, 3, {((2, 1), (0, 0)): Fraction(-3, 2), ((1, 0), (1, 1)): 2,
+                            ((0, 0), (1, 2)): Fraction(1, 3)})
+    y = SchurElement(2, 3, {((2, 0), (1, 0)): Fraction(5, 4), ((1, 1), (0, 1)): -1,
+                            ((1, 0), (0, 2)): 3})
+    assert not multiply(x, y).is_zero()
+    assert multiply_via_oracle(x, y) == multiply(x, y)
+    for D in enumerate_basis(2, 2):
+        assert np.array_equal(dense_operator(basis_element(D)), brute_operator(D, 2, 2))
 
 
 def test_oracle_does_not_revalidate(monkeypatch):
@@ -349,13 +370,16 @@ def test_mismatch_search_follows_basis_order(monkeypatch, key_first, basis_first
 
 def test_import_leaves_numpy_unloaded():
     # numpy is imported inside the oracle functions that use it, so a CLI
-    # command that never reaches the oracle does not load it
+    # command that never reaches the oracle, or one oracle product, does
+    # not load it
     src = str(Path(schuralg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     for code in (
         "import sys, schuralg; sys.exit('numpy' in sys.modules)",
         "import sys, schuralg.cli as c; c.main(['dim', '--n', '2', '--d', '3']);"
         " sys.exit('numpy' in sys.modules)",
+        "import sys, schuralg as s; x = s.basis_element(((1, 1), (1, 1)));"
+        " s.multiply_via_oracle(x, x); sys.exit('numpy' in sys.modules)",
     ):
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True).returncode == 0
